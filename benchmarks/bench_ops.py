@@ -209,21 +209,21 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
     images = rng.normal(size=(infer_batch, 3, resolution, resolution)).astype(np.float32)
     probe = Tensor(images)
     # Two independently compiled programs of the same model: one through
-    # repro.compile, one through the deprecated compile_net wrapper.  Today
-    # the wrapper forwards to the frontend, so the ratio ~1.0 documents that
-    # the graph-IR indirection is compile-time only; it is kept as a gated
-    # canary so any future divergence between the wrapper and the frontend
-    # (or a hot-path cost creeping into frontend-built programs) fails CI.
-    # The cross-PR trajectory of compiled_median_ms in BENCH_ops.json is the
-    # regression record against the pre-IR engines.
+    # repro.compile, one built directly from the backend hook (trace, the
+    # inference pass pipeline, build_inference_program) with no frontend in
+    # between.  The ratio ~1.0 documents that the graph-IR frontend is
+    # compile-time only; it is kept as a gated canary so a hot-path cost
+    # creeping into frontend-built programs fails CI.  The cross-PR
+    # trajectory of compiled_median_ms in BENCH_ops.json is the regression
+    # record against the pre-IR engines.
+    from repro.runtime import PassManager, trace
+    from repro.runtime.compiler import build_inference_program
+    from repro.runtime.passes import inference_pipeline
+
     net = repro.compile(model)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.runtime import compile_net
-
-        net_legacy = compile_net(model)
+    graph = trace(model)
+    PassManager(inference_pipeline()).run(graph)
+    net_direct = build_inference_program(graph)
 
     from repro.nn import layers as _layers  # noqa: F401  (layers resolve F.conv2d at call time)
 
@@ -242,7 +242,7 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
 
     eager_t = median_ms(eager_step, repeats)
     seed_t = median_ms(seed_step, repeats)
-    compiled_t = median_ms(lambda: net_legacy.numpy_forward(images), repeats)
+    compiled_t = median_ms(lambda: net_direct.numpy_forward(images), repeats)
     frontend_t = median_ms(lambda: net.numpy_forward(images), repeats)
     results["mobilenetv2_tiny_infer"] = {
         "compiled_median_ms": compiled_t,
@@ -253,34 +253,6 @@ def run_benchmarks(smoke: bool, repeats: int) -> dict:
         "speedup_eager_vs_seed": seed_t / eager_t,
         "speedup_compiled_vs_eager": eager_t / compiled_t,
         "frontend_vs_compiled": compiled_t / frontend_t,
-    }
-
-    # --------------------------------------- parallel lane: batch-64 throughput
-    # Serial (threads=1, same tile set) vs threads=auto on the tiled program.
-    # The partition is a pure function of the batch, so the two lanes run
-    # identical arithmetic and must agree bit-for-bit; only wall-clock moves.
-    # scripts/check_bench.py gates parallel_speedup with a CPU-count-aware
-    # floor (starved 1-2 core runners only get a sanity check).
-    import os
-
-    par_batch = 16 if smoke else 64
-    par_images = rng.normal(size=(par_batch, 3, resolution, resolution)).astype(np.float32)
-    net_serial = repro.compile(model, threads=1)
-    net_parallel = repro.compile(model, threads="auto")
-    if not np.array_equal(
-        net_serial.numpy_forward(par_images), net_parallel.numpy_forward(par_images)
-    ):
-        raise AssertionError("parallel engine diverged from serial tile execution")
-    serial_t = median_ms(lambda: net_serial.numpy_forward(par_images), repeats)
-    parallel_t = median_ms(lambda: net_parallel.numpy_forward(par_images), repeats)
-    results["mobilenetv2_tiny_infer_parallel"] = {
-        "batch": par_batch,
-        "cpus": os.cpu_count() or 1,
-        "threads": net_parallel.threads,
-        "serial_median_ms": serial_t,
-        "parallel_median_ms": parallel_t,
-        "parallel_speedup": serial_t / parallel_t,
-        "bit_identical": True,
     }
 
     return results
@@ -315,11 +287,9 @@ def main() -> None:
     width = max(len(name) for name in results)
     print(f"{'benchmark':<{width}s} {'median ms':>10s} {'seed ms':>10s} {'speedup':>8s}")
     for name, stats in results.items():
-        median = stats.get(
-            "median_ms", stats.get("compiled_median_ms", stats.get("parallel_median_ms"))
-        )
-        seed = stats.get("seed_median_ms", stats.get("serial_median_ms"))
-        speed = stats.get("speedup", stats.get("parallel_speedup"))
+        median = stats.get("median_ms", stats.get("compiled_median_ms"))
+        seed = stats.get("seed_median_ms")
+        speed = stats.get("speedup")
         print(
             f"{name:<{width}s} {median:>10.3f} "
             f"{seed if seed is not None else float('nan'):>10.3f} "

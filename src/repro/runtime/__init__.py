@@ -36,11 +36,8 @@ lowered; ``repro.serve`` resolves its ``--engine {float,int8}`` backends
 through the :func:`resolve_engine` registry here.
 
 ``compile`` snapshots weights for the inference modes — recompile after
-further training.  The legacy entry points ``compile_net`` /
-``compile_quantized`` / ``compile_training_step`` remain importable as thin
-deprecated wrappers over the frontend (each warns once); the old
-builtin-shadowing ``repro.runtime.compile`` alias is gone — use
-``repro.compile`` or :func:`compile_model`.
+further training.  :func:`repro.compile` (here :func:`compile_model`) is the
+only compile entry point.
 """
 
 from .artifact import (
@@ -56,7 +53,6 @@ from .compiler import (
     QuantConvOp,
     QuantLinearOp,
     activation_spec,
-    compile_net,
     fold_conv_bn,
 )
 from .frontend import (
@@ -69,11 +65,10 @@ from .frontend import (
     resolve_engine,
 )
 from .ir import CompileError, Graph, OpNode, trace
-from .parallel import ParallelExecutor, levelize, partition, resolve_threads, wave_table
 from .passes import PassManager, PassOrderError
 from .planner import ArenaPlanner, IOPlan, MemoryPlan, plan_io
-from .quantized import QuantCompileError, QuantizedNet, compile_quantized
-from .training import TrainStep, compile_training_step
+from .quantized import QuantCompileError, QuantizedNet
+from .training import TrainStep
 from . import kernels
 
 __all__ = [
@@ -94,12 +89,6 @@ __all__ = [
     "trace",
     "PassManager",
     "PassOrderError",
-    # parallel scheduling (plan_parallel pass, wave executor, tile partition)
-    "ParallelExecutor",
-    "levelize",
-    "wave_table",
-    "partition",
-    "resolve_threads",
     # engine registry (repro.serve --engine resolves through it)
     "EngineSpec",
     "register_engine",
@@ -110,10 +99,6 @@ __all__ = [
     "CompiledNet",
     "QuantizedNet",
     "TrainStep",
-    # deprecated legacy entry points (thin wrappers over repro.compile)
-    "compile_net",
-    "compile_quantized",
-    "compile_training_step",
     # backend building blocks
     "QuantCompileError",
     "QuantConvOp",

@@ -71,16 +71,13 @@ __all__ = [
 MAGIC = "repro-artifact"
 FORMAT_VERSION = 1
 
-# Node-meta keys recorded in (and compared against) the graph record.  The
-# parallel-planning annotations ("tileable", graph-level "parallel") are
-# deliberately excluded: thread count is an environment choice, and outputs
-# are bit-identical across it by construction.  "out_shape" is excluded as
-# well — InferShapes re-annotates the live graph for whatever concrete shape
-# memory_plan()/describe() saw last, so recording it would make an artifact
-# saved after those calls fail its own drift check; the plan record already
-# witnesses shape behaviour at the canonical input shape.
+# Node-meta keys recorded in (and compared against) the graph record.
+# "out_shape" is excluded: InferShapes re-annotates the live graph for
+# whatever concrete shape memory_plan()/describe() saw last, so recording it
+# would make an artifact saved after those calls fail its own drift check;
+# the plan record already witnesses shape behaviour at the canonical input
+# shape.
 _RECORDED_META = ("grid", "act", "spec", "bn_folds")
-_ENV_PASSES = ("plan_parallel",)
 
 
 class ArtifactError(Exception):
@@ -168,7 +165,7 @@ def graph_record(graph: Graph) -> dict:
     record = {
         "mode": graph.meta.get("mode"),
         "layout": graph.meta.get("layout"),
-        "passes": [p for p in graph.meta.get("passes", ()) if p not in _ENV_PASSES],
+        "passes": list(graph.meta.get("passes", ())),
         "nodes": [_node_record(node, depth) for node, depth in graph.walk()],
     }
     # Round-trip through canonical JSON so a record built from a live graph
@@ -345,10 +342,7 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
         "format_version": FORMAT_VERSION,
         "mode": mode,
         "model": ref,
-        "options": {
-            "dw_kernel": getattr(executor, "_dw_kernel", "auto"),
-            "threads": None,
-        },
+        "options": {"dw_kernel": getattr(executor, "_dw_kernel", "auto")},
         "graph": graph_record(graph),
         "plan": _plan_record(executor, input_shape),
         "state": {
@@ -365,6 +359,16 @@ def save_artifact(executor, path: str, *, input_shape=None, model_ref: dict | No
         header["loss"] = {"label_smoothing": label_smoothing}
     if mode == "int8":
         header["quant"] = _quant_record(model)
+    # Fail here, not at load: the state must fit the model that load() will
+    # rebuild from the registry reference (an expanded NetBooster giant, for
+    # one, does not fit its registry name until it is contracted).
+    _check_state_fits(
+        _rebuild_model(header, path), state,
+        f"cannot save {path!r}: the model state does not match registry model "
+        f"{ref['name']!r} rebuilt from its reference",
+        "load() could not restore it; save a registry architecture "
+        "(contract an expanded network first)",
+    )
 
     payload = {"__header__": np.frombuffer(_dumps(header).encode(), dtype=np.uint8)}
     for name, value in state.items():
@@ -474,6 +478,30 @@ def read_artifact_info(path: str, *, verify: bool = False) -> ArtifactInfo:
         data.close()
 
 
+def _check_state_fits(model: nn.Module, state: dict, problem: str, hint: str) -> None:
+    """Raise :class:`ArtifactError` unless ``state`` fits ``model`` exactly.
+
+    The names must equal the model's parameters and buffers, and every
+    parameter shape must match.  ``problem`` opens the error message and
+    ``hint`` closes it, so save and load report the same mismatch in their
+    own terms.
+    """
+    params = dict(model.named_parameters())
+    buffers = dict(model.named_buffers())
+    missing = sorted((set(params) | set(buffers)) - set(state))
+    unexpected = sorted(set(state) - set(params) - set(buffers))
+    if missing or unexpected:
+        raise ArtifactError(
+            f"{problem} (missing={missing[:4]}, unexpected={unexpected[:4]}); {hint}"
+        )
+    for name, value in state.items():
+        if name in params and params[name].data.shape != value.shape:
+            raise ArtifactError(
+                f"{problem}: parameter {name!r} shape {value.shape} does not fit "
+                f"the rebuilt model's {params[name].data.shape}; {hint}"
+            )
+
+
 def _restore_state(model: nn.Module, state: dict, path: str) -> None:
     """Write stored tensors into a freshly built skeleton, exactly.
 
@@ -482,25 +510,15 @@ def _restore_state(model: nn.Module, state: dict, path: str) -> None:
     original data (``int8`` vs ``int16`` ``weight_q``) survive instead of
     being truncated through an in-place cast into the skeleton's buffer.
     """
+    _check_state_fits(
+        model, state,
+        f"artifact {path!r} state does not match the rebuilt model",
+        "the model registry has diverged from the artifact",
+    )
     params = dict(model.named_parameters())
-    buffers = dict(model.named_buffers())
-    missing = sorted((set(params) | set(buffers)) - set(state))
-    unexpected = sorted(set(state) - set(params) - set(buffers))
-    if missing or unexpected:
-        raise ArtifactError(
-            f"artifact {path!r} state does not match the rebuilt model "
-            f"(missing={missing[:4]}, unexpected={unexpected[:4]}); "
-            "the model registry has diverged from the artifact"
-        )
     for name, value in state.items():
         if name in params:
-            param = params[name]
-            if param.data.shape != value.shape:
-                raise ArtifactError(
-                    f"artifact {path!r} parameter {name!r} shape {value.shape} "
-                    f"does not fit the rebuilt model's {param.data.shape}"
-                )
-            param.data[...] = value
+            params[name].data[...] = value
         else:
             owner_path, _, leaf = name.rpartition(".")
             owner = model.get_submodule(owner_path) if owner_path else model
@@ -542,7 +560,7 @@ def _rebuild_model(header: dict, path: str) -> nn.Module:
 
 
 def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None = None,
-                  threads=None, dw_kernel: str | None = None):
+                  dw_kernel: str | None = None):
     """Load a compiled artifact back into a live, bit-identical executor.
 
     Parameters
@@ -560,9 +578,6 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
         mutated since ``save`` and :class:`ArtifactError` is raised.  When
         omitted the model is rebuilt from the registry reference and the
         stored state.
-    threads:
-        Parallel-plan override forwarded to :func:`repro.compile` (``None``
-        defers to ``$REPRO_THREADS``; outputs are bit-identical across it).
     dw_kernel:
         Int8 depthwise strategy override (defaults to the stored option).
 
@@ -621,8 +636,6 @@ def load_artifact(path: str, *, mode: str | None = None, model: nn.Module | None
     kwargs = {}
     if stored_mode == "int8":
         kwargs["dw_kernel"] = dw_kernel or options.get("dw_kernel", "auto")
-    if threads is not None:
-        kwargs["threads"] = threads
     loss = None
     if stored_mode == "train":
         from ..train.trainer import StandardLoss

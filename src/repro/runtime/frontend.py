@@ -22,16 +22,10 @@ lowering report).
 The serving layer resolves engines by *name* through the registry here
 (``repro.serve --engine {float,int8}``); :func:`register_engine` lets
 downstream code add aliases without touching the serving CLI.
-
-The legacy entry points — ``compile_net``, ``compile_quantized``,
-``compile_training_step`` — remain importable as thin deprecated wrappers
-over this frontend.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass
 
 from .. import nn
@@ -69,24 +63,14 @@ class CompileOptions:
     Parameters
     ----------
     dw_kernel:
-        Depthwise kernel strategy of the int8 engine (``"auto"`` times the
-        candidates at plan time; see
-        :func:`~repro.runtime.quantized.compile_quantized`).  Ignored by the
-        other modes.
-    threads:
-        Worker count of the parallel execution plan
-        (:mod:`repro.runtime.parallel`).  ``None`` (default) defers to
-        ``$REPRO_THREADS`` — unset means serial, untiled legacy execution.
-        ``0`` / ``"auto"`` / ``"max"`` use one worker per CPU.  Any explicit
-        count — *including 1* — schedules the ``plan_parallel`` pass with
-        its deterministic batch tiling, so outputs are bit-identical across
-        every ``threads`` value (``threads=1`` simply drains the same waves
-        inline).  Training mode records the request but keeps its documented
-        serial fallback (BN batch statistics couple the batch).
+        Depthwise kernel strategy of the int8 engine: ``"auto"`` (time the
+        candidates on the planned buffers and keep the fastest) or one of
+        ``"flat"`` / ``"flat_einsum"`` / ``"stacked"`` / ``"einsum"`` /
+        ``"offsets"`` to force a variant.  All variants produce bit-identical
+        results.  Ignored by the other modes.
     """
 
     dw_kernel: str = "auto"
-    threads: int | str | None = None
 
 
 # --------------------------------------------------------------------------- #
@@ -97,7 +81,7 @@ def _build_infer(model: nn.Module, loss, optimizer, options: CompileOptions):
 
     graph = trace(model)
     graph.meta["mode"] = "infer"
-    PassManager(inference_pipeline(threads=options.threads)).run(graph)
+    PassManager(inference_pipeline()).run(graph)
     return build_inference_program(graph)
 
 
@@ -113,7 +97,7 @@ def _build_int8(model: nn.Module, loss, optimizer, options: CompileOptions):
         )
     graph = trace(model)
     graph.meta["mode"] = "int8"
-    PassManager(int8_pipeline(threads=options.threads)).run(graph)
+    PassManager(int8_pipeline()).run(graph)
     return build_quantized_program(graph, dw_kernel=options.dw_kernel)
 
 
@@ -132,7 +116,7 @@ def _build_train(model: nn.Module, loss, optimizer, options: CompileOptions):
         label_smoothing = loss.label_smoothing
     graph = trace(model)
     graph.meta["mode"] = "train"
-    PassManager(training_pipeline(label_smoothing, threads=options.threads)).run(graph)
+    PassManager(training_pipeline(label_smoothing)).run(graph)
     try:
         return build_training_program(graph)
     except UnsupportedModule as error:
@@ -273,38 +257,6 @@ def available_engines() -> list[str]:
 
 register_engine("float", "infer", "fused float32 inference (CompiledNet)")
 register_engine("int8", "int8", "planned true-integer engine (QuantizedNet)")
-
-
-# --------------------------------------------------------------------------- #
-# deprecation plumbing for the legacy entry points
-# --------------------------------------------------------------------------- #
-_DEPRECATION_SEEN: set[str] = set()
-
-
-def _deprecated(replacement: str):
-    """Mark a legacy entry point: warn once (per process), then forward.
-
-    The single home of the legacy-shim warning plumbing —
-    ``compile_net`` / ``compile_quantized`` / ``compile_training_step`` are
-    all plain functions decorated with this, so the once-only bookkeeping,
-    message format and warning category cannot drift apart per shim.
-    """
-
-    def decorate(func):
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            if func.__name__ not in _DEPRECATION_SEEN:
-                _DEPRECATION_SEEN.add(func.__name__)
-                warnings.warn(
-                    f"repro.runtime.{func.__name__} is deprecated; use {replacement}",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def describe_graph(graph: Graph | None, executor) -> str:

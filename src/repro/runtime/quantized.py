@@ -59,7 +59,7 @@ from . import kernels
 from .ir import Graph, OpNode, QuantCompileError, bn_scale_shift
 from .planner import ArenaPlanner, MemoryPlan
 
-__all__ = ["QuantCompileError", "QuantizedNet", "compile_quantized", "build_quantized_program"]
+__all__ = ["QuantCompileError", "QuantizedNet", "build_quantized_program"]
 
 # float32 mantissa capacity: integer sums below this are exact.
 _EXACT_F32_BOUND = float(2**24)
@@ -1079,8 +1079,9 @@ class QuantizedNet:
     Callable like :class:`~repro.runtime.compiler.CompiledNet`: Tensor or
     ndarray in, detached Tensor out; :meth:`numpy_forward` stays in ndarray
     land.  Execution plans (arena + bound kernels) are built lazily per input
-    shape and cached **per thread**, so a server can run one worker per thread
-    against a single :class:`QuantizedNet` without sharing scratch memory.
+    shape and cached **per thread**: the serving engine's batching workers
+    (:class:`repro.serve.Engine`) all drive one :class:`QuantizedNet`
+    concurrently, and each must run in its own arena and scratch.
 
     Attributes
     ----------
@@ -1094,7 +1095,7 @@ class QuantizedNet:
     """
 
     def __init__(self, ir: list, source: nn.Module, dw_kernel: str = "auto",
-                 graph: Graph | None = None, executor: "ParallelExecutor | None" = None):
+                 graph: Graph | None = None):
         if dw_kernel not in _DW_KERNELS:
             raise ValueError(f"dw_kernel must be one of {_DW_KERNELS}")
         self._ir = ir
@@ -1103,16 +1104,10 @@ class QuantizedNet:
         self._dw_kernel = dw_kernel
         self._local = threading.local()
         # _op_log is assigned by whichever thread builds the first plan; the
-        # lock keeps the first-wins publication race out of the engine (plan
-        # building may now happen concurrently on pool workers).
+        # lock keeps the first-wins publication race out of the engine (serving
+        # workers may build plans for new shapes concurrently).
         self._log_lock = threading.Lock()
         self._op_log: list[str] | None = None
-        self.executor = executor
-
-    @property
-    def threads(self) -> int:
-        """Worker count of the parallel plan (1 = serial execution)."""
-        return 1 if self.executor is None else self.executor.threads
 
     # ------------------------------------------------------------------ #
     def plan(self, input_shape: tuple[int, int, int, int]) -> _ExecPlan:
@@ -1199,24 +1194,8 @@ class QuantizedNet:
         return save_artifact(self, path, input_shape=input_shape, model_ref=model_ref)
 
     def numpy_forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the integer program on a raw ``(N, C, H, W)`` batch.
-
-        With a parallel plan the batch is cut into the deterministic tile
-        partition and the tiles run as one wave on the worker pool — each
-        worker executes its tile in its *own* thread-cached plan (disjoint
-        arena, disjoint scratch: no locks).  Integer accumulation makes the
-        engine's output bit-identical across batch sizes, so the tiled
-        result equals the untiled one exactly, at every thread count.
-        """
-        x = np.ascontiguousarray(x, dtype=np.float32)
-        if self.executor is not None:
-            rows = self.executor.batch_slices(x.shape[0])
-            if len(rows) > 1:
-                parts = self.executor.run_wave([
-                    lambda sl=sl: self.plan(x[sl].shape).run(x[sl]) for sl in rows
-                ])
-                return np.concatenate(parts, axis=0)
-        return self.plan(x.shape).run(x)
+        """Run the integer program on a raw ``(N, C, H, W)`` batch."""
+        return self.plan(x.shape).run(np.ascontiguousarray(x, dtype=np.float32))
 
     def __call__(self, x) -> nn.Tensor:
         data = x.data if isinstance(x, nn.Tensor) else np.asarray(x, dtype=np.float32)
@@ -1227,56 +1206,5 @@ class QuantizedNet:
 
 
 def build_quantized_program(graph: Graph, dw_kernel: str = "auto") -> QuantizedNet:
-    """Lower an annotated graph to a :class:`QuantizedNet` (frontend backend hook).
-
-    A ``plan_parallel`` annotation attaches a
-    :class:`~repro.runtime.parallel.ParallelExecutor`; the engine then
-    batch-tiles ``numpy_forward`` across per-thread execution plans.
-    """
-    par = graph.meta.get("parallel")
-    executor = None
-    if par is not None and not par.get("serial_reason"):
-        from .parallel import ParallelExecutor
-
-        executor = ParallelExecutor(par["threads"], par["max_tiles"], par["min_tile"])
-    return QuantizedNet(_ir_from_graph(graph), graph.source, dw_kernel=dw_kernel,
-                        graph=graph, executor=executor)
-
-
-from .frontend import _deprecated
-
-
-@_deprecated("repro.compile(model, mode='int8')")
-def compile_quantized(model: nn.Module, dw_kernel: str = "auto") -> QuantizedNet:
-    """Deprecated alias of ``repro.compile(model, mode="int8")``.
-
-    Parameters
-    ----------
-    model:
-        A model processed by :func:`repro.compress.quantize_model` and
-        :func:`repro.compress.calibrate` (every wrapper must be frozen).
-    dw_kernel:
-        Depthwise kernel strategy: ``"auto"`` (time the candidates on the
-        planned buffers and keep the fastest — the default), or one of
-        ``"flat"`` / ``"flat_einsum"`` / ``"stacked"`` / ``"einsum"`` /
-        ``"offsets"`` to force a variant.  All variants produce bit-identical
-        results.
-
-    Returns
-    -------
-    QuantizedNet
-        The planned integer program.
-
-    Raises
-    ------
-    QuantCompileError
-        If the model contains no quantized layers, or a quantized layer has
-        not been calibrated.
-
-    .. deprecated::
-        Use :func:`repro.compile` — this wrapper emits a
-        :class:`DeprecationWarning` (once) and forwards to it.
-    """
-    from .frontend import compile_model
-
-    return compile_model(model, mode="int8", dw_kernel=dw_kernel)
+    """Lower an annotated graph to a :class:`QuantizedNet` (frontend backend hook)."""
+    return QuantizedNet(_ir_from_graph(graph), graph.source, dw_kernel=dw_kernel, graph=graph)

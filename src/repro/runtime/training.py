@@ -44,7 +44,7 @@ from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .ir import Graph, OpNode, UnsupportedModule
 
-__all__ = ["TrainStep", "compile_training_step", "build_training_program"]
+__all__ = ["TrainStep", "build_training_program"]
 
 # Backwards-compatible alias for the pre-IR private exception.
 _Unsupported = UnsupportedModule
@@ -574,18 +574,6 @@ class TrainStep:
             chain.nodes[0].skip_input_grad = True
         self._signature = structure_signature(model)
 
-    @property
-    def threads(self) -> int:
-        """Always 1: the fused step keeps the documented serial fallback.
-
-        BatchNorm runs in batch-statistics mode during training, coupling
-        every sample of the batch, so the step cannot be batch-tiled; a
-        ``CompileOptions(threads=N)`` request is recorded by the
-        ``plan_parallel`` pass with its serial reason (see ``describe()``)
-        and execution stays single-threaded and bit-identical to eager.
-        """
-        return 1
-
     def matches(self, model: nn.Module) -> bool:
         """True while ``model``'s structure still matches the compiled program.
 
@@ -657,49 +645,3 @@ def build_training_program(graph: Graph) -> TrainStep:
         if node.kind == "loss":
             label_smoothing = node.attrs.get("label_smoothing", 0.0)
     return TrainStep(graph.source, chain, CrossEntropyTrainNode(label_smoothing), graph=graph)
-
-
-from .frontend import _deprecated
-
-
-@_deprecated("repro.compile(model, mode='train', loss=..., optimizer=...)")
-def compile_training_step(
-    model: nn.Module,
-    loss=None,
-    optimizer=None,
-) -> TrainStep | None:
-    """Deprecated alias of ``repro.compile(model, mode="train", loss=...)``.
-
-    Parameters
-    ----------
-    model:
-        The eager module to train.  Recognised structures (the model zoo's
-        conv/BN/activation blocks) lower to fused forward+backward kernels;
-        unknown submodules run on the autograd tape inside the program.
-    loss:
-        A :class:`~repro.train.trainer.StandardLoss` (or ``None`` for plain
-        cross-entropy).  Any other loss computer returns ``None`` — callers
-        fall back to the eager path.
-    optimizer:
-        Unused at compile time (gradients flow through ``param.grad``);
-        accepted so call sites can pass their optimiser for future lowering.
-
-    Returns
-    -------
-    TrainStep or None
-        The compiled step, or ``None`` when the loss cannot be lowered
-        (where :func:`repro.compile` raises
-        :class:`~repro.runtime.ir.CompileError`, this legacy wrapper keeps
-        the historical ``None`` contract).
-
-    .. deprecated::
-        Use :func:`repro.compile` — this wrapper emits a
-        :class:`DeprecationWarning` (once) and forwards to it.
-    """
-    from .frontend import compile_model
-    from .ir import CompileError
-
-    try:
-        return compile_model(model, mode="train", loss=loss, optimizer=optimizer)
-    except CompileError:
-        return None

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.compress import calibrate, quantize_model
+from repro.core import PLTSchedule, contract_network, expand_network
 from repro.models import available_models, create_model
 from repro.runtime import (
     ArtifactError,
@@ -141,6 +142,44 @@ class TestRoundTrip:
         loaded = load_artifact(str(first))
         info_b = loaded.save(str(second))
         assert info_a.fingerprint == info_b.fingerprint
+
+    @pytest.mark.parametrize("stage", ["contracted", "expanded"])
+    def test_netbooster_stages_save_or_fail_at_save(self, tmp_path, stage):
+        """The contracted tiny net round-trips; the expanded giant, whose state
+        does not fit its registry name, fails at ``save`` and writes nothing."""
+        model, rng = make_model()
+        giant, records = expand_network(model)
+        PLTSchedule(giant, total_steps=1).finalize()
+        net = contract_network(giant, records) if stage == "contracted" else giant
+        net.eval()
+        fresh = compile_for(net, "infer")
+        path = tmp_path / "net.rpa"
+        if stage == "expanded":
+            with pytest.raises(ArtifactError, match="contract an expanded network"):
+                fresh.save(str(path))
+            assert list(tmp_path.iterdir()) == []
+            return
+        fresh.save(str(path))
+        x = batch_for(rng)
+        np.testing.assert_array_equal(fresh.numpy_forward(x), load_artifact(str(path)).numpy_forward(x))
+
+    def test_header_with_legacy_threads_option_loads(self, tmp_path):
+        """Artifacts whose header options still carry ``"threads": null``
+        (written before that option was removed) load unchanged."""
+        model, rng = make_model()
+        fresh = compile_for(model, "infer")
+        path = tmp_path / "net.rpa"
+        fresh.save(str(path))
+        with np.load(path, allow_pickle=False) as data:
+            entries = {name: data[name] for name in data.files}
+        header = json.loads(bytes(entries["__header__"]).decode("utf-8"))
+        assert "threads" not in header["options"]
+        header["options"]["threads"] = None
+        entries["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        with open(path, "wb") as handle:  # np.savez(path) would append .npz
+            np.savez(handle, **entries)
+        x = batch_for(rng)
+        np.testing.assert_array_equal(fresh.numpy_forward(x), load_artifact(str(path)).numpy_forward(x))
 
     def test_read_artifact_info_verify(self, tmp_path):
         model, _ = make_model()

@@ -1,7 +1,5 @@
 """Tests for the unified graph IR, the pass pipelines and the repro.compile frontend."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -33,7 +31,6 @@ from repro.runtime.passes import (
     int8_pipeline,
     training_pipeline,
 )
-from repro.utils import seed_everything
 
 
 def _randomize_bn_stats(model: nn.Module, rng) -> None:
@@ -163,57 +160,6 @@ class TestFrontend:
         with pytest.raises(CompileError):
             repro.compile(create_model("mcunet", num_classes=4), mode="train", loss=WeirdLoss())
 
-    def test_infer_bit_identical_to_legacy_compile_net(self, rng):
-        """The redesign preserves the pre-IR engines bit for bit."""
-        from repro.runtime import compile_net
-
-        model = create_model("mobilenetv2-tiny", num_classes=8)
-        _randomize_bn_stats(model, rng)
-        model.eval()
-        x = rng.normal(size=(3, 3, 16, 16)).astype(np.float32)
-        new = repro.compile(model).numpy_forward(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = compile_net(model).numpy_forward(x)
-        np.testing.assert_array_equal(new, legacy)
-
-    def test_int8_bit_identical_to_legacy_compile_quantized(self, rng):
-        from repro.runtime import compile_quantized
-
-        model = _quantized_model("mcunet", rng)
-        x = rng.normal(0.2, 0.8, size=(2, 3, 16, 16)).astype(np.float32)
-        new = repro.compile(model, mode="int8", dw_kernel="einsum").numpy_forward(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = compile_quantized(model, dw_kernel="einsum").numpy_forward(x)
-        np.testing.assert_array_equal(new, legacy)
-
-    def test_train_bit_identical_to_legacy_compile_training_step(self, rng):
-        from repro.runtime import compile_training_step
-
-        def one_step(use_frontend: bool):
-            seed_everything(7)
-            model = create_model("mobilenetv2-tiny", num_classes=8)
-            model.train()
-            if use_frontend:
-                step = repro.compile(model, mode="train")
-            else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    step = compile_training_step(model)
-            gen = np.random.default_rng(3)
-            x = gen.normal(size=(4, 3, 16, 16)).astype(np.float32)
-            y = gen.integers(0, 8, size=4)
-            loss, logits = step(x, y)
-            return loss, logits, [p.grad.copy() for p in model.parameters() if p.grad is not None]
-
-        loss_a, logits_a, grads_a = one_step(True)
-        loss_b, logits_b, grads_b = one_step(False)
-        assert loss_a == loss_b
-        np.testing.assert_array_equal(logits_a, logits_b)
-        for ga, gb in zip(grads_a, grads_b):
-            np.testing.assert_array_equal(ga, gb)
-
     def test_describe_reports_passes_and_nodes(self, rng):
         model = create_model("mobilenetv2-tiny", num_classes=4)
         model.eval()
@@ -222,20 +168,6 @@ class TestFrontend:
         assert "features.0.conv" in report
         qreport = repro.compile(_quantized_model("mobilenetv2-tiny", rng), mode="int8").describe()
         assert "lower_int8" in qreport and "grid=" in qreport
-
-    def test_legacy_wrappers_warn_exactly_once(self):
-        from repro.runtime import compile_net, frontend
-
-        model = create_model("mobilenetv2-tiny", num_classes=4)
-        model.eval()
-        frontend._DEPRECATION_SEEN.discard("compile_net")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compile_net(model)
-            compile_net(model)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.compile" in str(deprecations[0].message)
 
     def test_engine_registry_resolves_serving_backends(self):
         assert {"float", "int8"} <= set(available_engines())

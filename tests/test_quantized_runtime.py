@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.compress import QuantizationSpec, calibrate, quantize_model
 from repro.compress.quantization import QuantizedConv2d, QuantizedLinear, _QuantizedWrapper
@@ -14,8 +15,6 @@ from repro.runtime import (
     QuantConvOp,
     QuantLinearOp,
     QuantizedNet,
-    compile_net,
-    compile_quantized,
 )
 from repro.runtime import compiler as compiler_mod
 
@@ -68,7 +67,7 @@ class TestInt8Parity:
         x = rng.normal(0.2, 0.8, size=(batch, 3, 20, 20)).astype(np.float32)
         with nn.no_grad():
             oracle = model(nn.Tensor(x)).numpy()
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         out = engine.numpy_forward(x)
         assert out.shape == oracle.shape
         tolerance = _dequant_tolerance(model)
@@ -86,22 +85,22 @@ class TestInt8Parity:
             x = rng.normal(0.2, 0.8, size=(2, 3, 16, 16)).astype(np.float32)
             with nn.no_grad():
                 oracle = model(nn.Tensor(x)).numpy()
-            out = compile_quantized(model).numpy_forward(x)
+            out = repro.compile(model, mode="int8").numpy_forward(x)
             assert float(np.abs(out - oracle).max()) <= _dequant_tolerance(model), name
 
     def test_all_dw_kernel_variants_bit_identical(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng)
         x = rng.normal(0.2, 0.8, size=(4, 3, 20, 20)).astype(np.float32)
-        reference = compile_quantized(model, dw_kernel="einsum").numpy_forward(x)
+        reference = repro.compile(model, mode="int8", dw_kernel="einsum").numpy_forward(x)
         for variant in ("flat", "stacked", "offsets", "auto"):
-            out = compile_quantized(model, dw_kernel=variant).numpy_forward(x)
+            out = repro.compile(model, mode="int8", dw_kernel=variant).numpy_forward(x)
             np.testing.assert_array_equal(out, reference, err_msg=variant)
 
     def test_bitwise_batch_invariance(self, rng):
         """Per-sample results never depend on batch assembly — the property
         padded dynamic batching relies on."""
         model = _quantized_model("mobilenetv2-tiny", rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         x = rng.normal(0.2, 0.8, size=(6, 3, 20, 20)).astype(np.float32)
         batched = engine.numpy_forward(x)
         for i in range(x.shape[0]):
@@ -122,12 +121,12 @@ class TestInt8Parity:
         x = rng.normal(0.0, 1.0, size=(2, 3, 10, 10)).astype(np.float32)
         with nn.no_grad():
             oracle = block(nn.Tensor(x)).numpy()
-        out = compile_quantized(block).numpy_forward(x)
+        out = repro.compile(block, mode="int8").numpy_forward(x)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-5)
 
     def test_tensor_in_tensor_out(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         out = engine(nn.Tensor(rng.normal(size=(1, 3, 20, 20)).astype(np.float32)))
         assert isinstance(out, nn.Tensor)
         assert not out.requires_grad
@@ -153,24 +152,22 @@ class TestIntegerLowering:
     def test_engine_has_no_eager_fallback_for_registry_models(self, rng):
         for name in ("mobilenetv2-tiny", "mcunet"):
             model = _quantized_model(name, rng)
-            engine = compile_quantized(model)
+            engine = repro.compile(model, mode="int8")
             engine.plan((1, 3, 20, 20))
             assert "eager" not in engine.ops
             assert sum(op.startswith("qconv") for op in engine.ops) > 10
 
-    def test_compile_net_routes_wrappers_to_integer_ops(self, rng):
+    def test_infer_mode_routes_wrappers_to_integer_ops(self, rng):
         """The float compiler must not silently drop calibrated wrappers to
         the eager fallback."""
         model = _quantized_model("mobilenetv2-tiny", rng)
-        program = compile_net(model)._program
+        program = repro.compile(model)._program
 
         kinds = []
 
         def walk(op):
             kinds.append(type(op).__name__)
-            # ParallelChain (the $REPRO_THREADS>1 program) exposes the same
-            # flat .ops list as ChainOp, so both recurse identically.
-            if isinstance(op, (compiler_mod.ChainOp, compiler_mod.ParallelChain)):
+            if isinstance(op, compiler_mod.ChainOp):
                 for child in op.ops:
                     walk(child)
             if isinstance(op, compiler_mod.ResidualOp):
@@ -183,15 +180,15 @@ class TestIntegerLowering:
         assert "EagerOp" not in kinds
         assert kinds.count("QuantConvOp") + kinds.count("QuantLinearOp") == n_wrappers
 
-    def test_compile_net_integer_ops_match_eager(self, rng):
+    def test_infer_mode_integer_ops_match_eager(self, rng):
         model = _quantized_model("mcunet", rng)
         x = rng.normal(0.2, 0.8, size=(3, 3, 20, 20)).astype(np.float32)
         with nn.no_grad():
             eager = model(nn.Tensor(x)).numpy()
-        out = compile_net(model).numpy_forward(x)
+        out = repro.compile(model).numpy_forward(x)
         np.testing.assert_allclose(out, eager, rtol=1e-4, atol=1e-5)
 
-    def test_uncalibrated_wrapper_stays_eager_in_compile_net(self, rng):
+    def test_uncalibrated_wrapper_stays_eager_in_float(self, rng):
         from repro.runtime import trace
         from repro.runtime.compiler import _op_from_node
 
@@ -202,16 +199,16 @@ class TestIntegerLowering:
         op = _op_from_node(graph.nodes[0])
         assert isinstance(op, compiler_mod.EagerOp)
 
-    def test_uncalibrated_model_rejected_by_compile_quantized(self):
+    def test_uncalibrated_model_rejected_by_int8_mode(self):
         model = create_model("mobilenetv2-tiny", num_classes=4)
         quantize_model(model)  # no calibrate()
         with pytest.raises(QuantCompileError):
-            compile_quantized(model)
+            repro.compile(model, mode="int8")
 
     def test_unquantized_model_rejected(self):
         model = create_model("mobilenetv2-tiny", num_classes=4)
         with pytest.raises(QuantCompileError):
-            compile_quantized(model)
+            repro.compile(model, mode="int8")
 
     def test_mixed_model_with_skipped_layers_still_correct(self, rng):
         """Skip-prefixed (unquantized) layers run in the float domain."""
@@ -223,14 +220,14 @@ class TestIntegerLowering:
         x = rng.normal(0.2, 0.8, size=(2, 3, 16, 16)).astype(np.float32)
         with nn.no_grad():
             oracle = model(nn.Tensor(x)).numpy()
-        out = compile_quantized(model).numpy_forward(x)
+        out = repro.compile(model, mode="int8").numpy_forward(x)
         assert out.shape == oracle.shape
         assert float(np.abs(out - oracle).max()) <= 0.5  # loose: float head amplifies nothing
 
     def test_invalid_dw_kernel_rejected(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng)
         with pytest.raises(ValueError):
-            compile_quantized(model, dw_kernel="nope")
+            repro.compile(model, mode="int8", dw_kernel="nope")
 
 
 class TestMemoryPlanner:
@@ -251,14 +248,14 @@ class TestMemoryPlanner:
         """For a padding-free chain the planner's peak working set equals the
         analytic MCU approximation max(input + output) exactly."""
         model, channels, res = self._pointwise_chain(rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         report = engine.memory_report((1, channels[0], res, res))
         analytic = peak_activation_memory(model, (channels[0], res, res), bytes_per_element=1)
         assert report.peak_value_int8_bytes == analytic
 
     def test_arena_reuses_buffers(self, rng):
         model, channels, res = self._pointwise_chain(rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         report = engine.memory_report((1, channels[0], res, res))
         total_requested = sum(b.size for b in report.buffers)
         assert report.arena_elements < total_requested
@@ -270,14 +267,14 @@ class TestMemoryPlanner:
         down (the eager trace double-counts a tensor as one layer's output and
         the next layer's input) — the two accountings agree to within 2x."""
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         report = engine.memory_report((1, 3, 16, 16))
         analytic = peak_activation_memory(model, (3, 16, 16), bytes_per_element=1)
         assert analytic / 2 <= report.peak_value_int8_bytes <= 2 * analytic
 
     def test_forward_allocates_into_planned_arena(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         plan = engine.plan((2, 3, 16, 16))
         out1 = plan.run(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
         assert plan.arena.size >= max(b.offset + b.size for b in plan.memory.buffers)
@@ -288,14 +285,14 @@ class TestMemoryPlanner:
 
     def test_memory_plan_summary_mentions_peak(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng, res=16)
-        summary = compile_quantized(model).memory_report((1, 3, 16, 16)).summary()
+        summary = repro.compile(model, mode="int8").memory_report((1, 3, 16, 16)).summary()
         assert "peak working set" in summary
 
 
 class TestQuantizedNetApi:
     def test_ops_requires_a_plan(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng)
-        engine = compile_quantized(model)
+        engine = repro.compile(model, mode="int8")
         with pytest.raises(RuntimeError):
             engine.ops
         engine.plan((1, 3, 16, 16))
@@ -303,4 +300,4 @@ class TestQuantizedNetApi:
 
     def test_is_quantized_net(self, rng):
         model = _quantized_model("mobilenetv2-tiny", rng)
-        assert isinstance(compile_quantized(model), QuantizedNet)
+        assert isinstance(repro.compile(model, mode="int8"), QuantizedNet)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.nn import functional as F
 from repro.models import create_model
 from repro.models.blocks import BasicBlock, Bottleneck, ConvBNAct, InvertedResidual
-from repro.runtime import CompiledNet, compile_net, fold_conv_bn
+from repro.runtime import CompiledNet, fold_conv_bn
 
 
 def _randomize_bn_stats(model: nn.Module, rng: np.random.Generator) -> None:
@@ -88,7 +89,7 @@ class TestCompiledNet:
         x = rng.normal(size=(4, 3, 20, 20)).astype(np.float32)
         with nn.no_grad():
             eager = model(nn.Tensor(x)).numpy()
-        net = compile_net(model)
+        net = repro.compile(model)
         assert isinstance(net, CompiledNet)
         compiled = net.numpy_forward(x)
         np.testing.assert_allclose(compiled, eager, rtol=1e-4, atol=1e-4)
@@ -110,7 +111,7 @@ class TestCompiledNet:
         x = rng.normal(size=(2, in_channels, 12, 12)).astype(np.float32)
         with nn.no_grad():
             eager = module(nn.Tensor(x)).numpy()
-        compiled = compile_net(module).numpy_forward(x)
+        compiled = repro.compile(module).numpy_forward(x)
         np.testing.assert_allclose(compiled, eager, rtol=1e-4, atol=1e-4)
 
     def test_decayable_activations_supported(self, rng):
@@ -122,7 +123,7 @@ class TestCompiledNet:
         x = rng.normal(size=(2, 3, 10, 10)).astype(np.float32)
         with nn.no_grad():
             eager = block(nn.Tensor(x)).numpy()
-        compiled = compile_net(block).numpy_forward(x)
+        compiled = repro.compile(block).numpy_forward(x)
         np.testing.assert_allclose(compiled, eager, rtol=1e-4, atol=1e-4)
 
     def test_unknown_module_falls_back_to_eager(self, rng):
@@ -138,13 +139,13 @@ class TestCompiledNet:
         x = rng.normal(size=(3, 6)).astype(np.float32)
         with nn.no_grad():
             eager = model(nn.Tensor(x)).numpy()
-        compiled = compile_net(model).numpy_forward(x)
+        compiled = repro.compile(model).numpy_forward(x)
         np.testing.assert_allclose(compiled, eager, rtol=1e-5, atol=1e-6)
 
     def test_accepts_tensor_and_returns_detached_tensor(self, rng):
         model = create_model("mobilenetv2-tiny", num_classes=4)
         model.eval()
-        net = compile_net(model)
+        net = repro.compile(model)
         out = net(nn.Tensor(rng.normal(size=(1, 3, 16, 16)).astype(np.float32)))
         assert isinstance(out, nn.Tensor)
         assert not out.requires_grad
@@ -154,7 +155,7 @@ class TestCompiledNet:
         block.eval()
         x = rng.normal(size=(1, 6, 8, 8)).astype(np.float32)
         x_before = x.copy()
-        compile_net(block).numpy_forward(x)
+        repro.compile(block).numpy_forward(x)
         np.testing.assert_array_equal(x, x_before)
 
     def test_compiled_evaluate_matches_eager_evaluate(self, rng):

@@ -6,10 +6,10 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.compress import calibrate, quantize_model
 from repro.models import create_model
-from repro.runtime import compile_quantized
 from repro.serve import Engine, EngineConfig, build_server, run_load
 
 
@@ -25,7 +25,7 @@ def qnet():
     model.eval()
     quantize_model(model)
     calibrate(model, [rng.normal(0.2, 0.8, size=(8,) + SHAPE).astype(np.float32)])
-    return compile_quantized(model)
+    return repro.compile(model, mode="int8")
 
 
 def _samples(n, seed=1):

@@ -1,6 +1,6 @@
 """Parity and behaviour tests for the compiled training engine.
 
-Covers the fused training runtime (`repro.runtime.compile_training_step`),
+Covers the fused training runtime (`repro.compile(model, mode="train")`),
 the flat-buffer optimisers (`repro.optim.flat`), flat EMA / clipping, and the
 prefetching data pipeline's RNG stability.
 """
@@ -8,6 +8,7 @@ prefetching data pipeline's RNG stability.
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.data import (
     ClassificationDataset,
@@ -26,7 +27,6 @@ from repro.optim import (
     clip_grad_norm,
     clip_grad_norm_,
 )
-from repro.runtime import compile_training_step
 from repro.train import Trainer
 from repro.utils import ExperimentConfig, seed_everything
 
@@ -151,7 +151,7 @@ class TestCompiledTrainStepParity:
             nn.Conv2d(3, 4, 3, padding=1, bias=True), act, nn.GlobalAvgPool2d(), nn.Flatten(),
             nn.Linear(4, 2),
         )
-        step = compile_training_step(model)
+        step = repro.compile(model, mode="train")
         assert step is not None
         x = np.full((2, 3, 4, 4), -1.0, dtype=np.float32)
         labels = np.zeros(2, dtype=np.int64)
