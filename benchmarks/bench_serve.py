@@ -7,9 +7,11 @@ across PRs and gated by ``scripts/check_bench.py``:
    engine (``repro.compile(model, mode="int8")``) vs the float compiled
    runtime (``repro.compile(model)``) on MobileNetV2-Tiny at batch
    1 / 8 / 64.  The acceptance floor is int8 >= 1.5x float at batches 1-8.
-2. **Serving lane** — sustained req/s of the dynamic-batching engine
-   (max-batch window, padded assembly) vs serial batch-1 serving, both driven
-   by the closed-loop load generator.  The acceptance floor is batched >= 2x
+2. **Serving lane** — sustained req/s of the dynamic-batching engine (one
+   worker thread driving the shared :class:`~repro.serve.batching.MicroBatcher`:
+   max batch 16, 2 ms window, exact-count batches) vs serial batch-1 serving
+   (max batch 1, no window), both driven by the closed-loop load generator at
+   concurrency 32 and 1 respectively.  The acceptance floor is batched >= 2x
    serial.
 3. **Fleet lane** — the supervised multi-process fleet (4 replicas over
    shared memory + loopback sockets) vs the threaded in-process engine with

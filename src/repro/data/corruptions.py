@@ -12,7 +12,6 @@ their input in place.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "gaussian_noise",
@@ -78,6 +77,8 @@ def impulse_noise(images: np.ndarray, severity: int = 1, seed: int = 0) -> np.nd
 
 def gaussian_blur(images: np.ndarray, severity: int = 1, seed: int = 0) -> np.ndarray:
     """Gaussian blur applied independently to each channel."""
+    from scipy import ndimage  # imported on use: it alone is most of ``import repro.data``
+
     severity = _check_severity(severity)
     images = _as_batch(images)
     sigma = [0.4, 0.7, 1.0, 1.5, 2.0][severity - 1]

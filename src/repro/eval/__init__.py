@@ -16,6 +16,7 @@ from .deployment import (
     weight_memory,
 )
 from .profiler import (
+    LatencyWindow,
     LayerProfile,
     format_profile_table,
     latency_percentiles,
@@ -46,6 +47,7 @@ __all__ = [
     "format_profile_table",
     "measure_latency",
     "latency_percentiles",
+    "LatencyWindow",
     "RobustnessReport",
     "evaluate_robustness",
 ]

@@ -3,12 +3,15 @@
 Complements :mod:`repro.eval.complexity` (which returns aggregate counts) with
 human-readable per-layer breakdowns — the kind of table an engineer inspects
 to find where a TNN spends its budget — and a measured-latency helper for the
-benchmark harness.
+benchmark harness.  :func:`latency_percentiles` and :class:`LatencyWindow` are
+the one place latency percentiles are computed; the serving tiers, the load
+generator and the experiment registry all report through them.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,7 @@ __all__ = [
     "format_profile_table",
     "measure_latency",
     "latency_percentiles",
+    "LatencyWindow",
 ]
 
 
@@ -93,6 +97,33 @@ def latency_percentiles(timings_ms) -> dict[str, float]:
     return {"p50_ms": float(p50), "p95_ms": float(p95), "p99_ms": float(p99)}
 
 
+class LatencyWindow:
+    """The latest ``maxlen`` latency samples (ms), optionally only those under ``horizon_s`` old.
+
+    The horizon makes percentiles decay when traffic stops instead of pinning
+    at the last burst's tail.  Not thread-safe: callers serialize access.
+    """
+
+    def __init__(self, maxlen: int, horizon_s: float | None = None):
+        self.horizon_s = horizon_s
+        self._samples: deque = deque(maxlen=maxlen)  # (monotonic time, ms)
+
+    def add(self, ms: float) -> None:
+        self._samples.append((time.monotonic(), ms))
+
+    def values(self) -> list[float]:
+        if self.horizon_s is not None:
+            cutoff = time.monotonic() - self.horizon_s
+            while self._samples and self._samples[0][0] < cutoff:
+                self._samples.popleft()
+        return [ms for _, ms in self._samples]
+
+    def percentiles(self) -> dict[str, float]:
+        """:func:`latency_percentiles` of the window; empty when it holds no samples."""
+        values = self.values()
+        return latency_percentiles(values) if values else {}
+
+
 def measure_latency(
     model: nn.Module,
     input_shape: tuple[int, int, int],
@@ -143,13 +174,13 @@ def measure_latency(
             forward()
             timings.append((time.perf_counter() - start) * 1e3)
     model.train(was_training)
-    stats = {
+    pct = latency_percentiles(timings)
+    return {
         "mean_ms": float(np.mean(timings)),
-        "median_ms": float(np.median(timings)),
+        "median_ms": pct["p50_ms"],
         "best_ms": float(np.min(timings)),
         # 1.0 when the fused runtime was timed, 0.0 for the eager forward
         # (either requested or after a compilation failure fallback).
         "compiled": 1.0 if used_compiled else 0.0,
+        **pct,
     }
-    stats.update(latency_percentiles(timings))
-    return stats

@@ -38,7 +38,7 @@ from typing import Callable
 from ..baselines import train_vanilla, train_with_netaug
 from ..core import ExpansionConfig, NetBooster, NetBoosterConfig
 from ..data import SyntheticImageNet, SyntheticVOC, downstream_dataset
-from ..eval import count_complexity
+from ..eval import count_complexity, latency_percentiles
 from ..models import TinyDetector, create_model
 from ..train import (
     DetectionTrainer,
@@ -819,7 +819,7 @@ def _fidelity(scale: ExperimentScale, ctx: StepContext) -> list[ResultRow]:
                     {
                         "rung": rung_name,
                         "accuracy": 100.0 * correct / len(val.images),
-                        "p99_ms": float(np.percentile(samples, 99)),
+                        "p99_ms": latency_percentiles(samples)["p99_ms"],
                     }
                 )
             return Artifact(meta={"rungs": results})

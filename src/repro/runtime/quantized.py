@@ -23,7 +23,7 @@ instead of round-tripping through float like the fake-quant eager path:
   ``K * max|w| * max|v| < 2**24``, which is checked per op at lowering time
   (ops exceeding the bound accumulate in float64 instead).  Every kernel
   variant therefore produces bit-identical integers, and results are
-  bit-identical across batch sizes — the property the serving layer's padded
+  bit-identical across batch sizes — the property the serving layer's
   dynamic batching relies on.
 * **Static memory plan.**  All activation and scratch buffers are packed into
   one arena by :class:`repro.runtime.planner.ArenaPlanner`; the steady-state

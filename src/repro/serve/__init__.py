@@ -111,11 +111,10 @@ def build_server(
     model_name: str = "mobilenetv2-tiny",
     resolution: int = 16,
     num_classes: int = 16,
-    backend: str = "int8",
+    engine: str = "int8",
     calibration_batches: int = 2,
     calibration_method: str = "minmax",
     seed: int = 0,
-    engine: str | None = None,
     **engine_kwargs,
 ) -> Engine:
     """Build a ready-to-serve :class:`Engine` for a registry model.
@@ -125,21 +124,18 @@ def build_server(
     unified :func:`repro.compile` frontend: ``"int8"`` (the default)
     quantizes and calibrates the model on synthetic data first, ``"float"``
     serves the fused float runtime, and the special name ``"eager"`` serves
-    the plain module.  ``engine`` is an alias for ``backend`` (matching the
-    ``repro.serve --engine`` CLI flag) and wins when both are given.  Extra
-    keyword arguments configure the engine's batching policy (``max_batch``,
-    ``max_wait_ms``, ``workers``...).
+    the plain module.  Extra keyword arguments configure the engine's
+    batching policy (``max_batch``, ``max_wait_ms``, ``workers``...).
 
     The model construction is shared with the fleet's
     :func:`~repro.serve.fleet.model_backend` builder, so both serving tiers
     serve bit-identical backends.
     """
-    name = engine if engine is not None else backend
     net, input_shape = resolve_net(
         model_name=model_name,
         resolution=resolution,
         num_classes=num_classes,
-        engine=name,
+        engine=engine,
         calibration_batches=calibration_batches,
         calibration_method=calibration_method,
         seed=seed,

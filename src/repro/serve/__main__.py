@@ -62,10 +62,9 @@ def main(argv=None) -> int:
     parser.add_argument("--model", default="mobilenetv2-tiny", help="registry model name")
     parser.add_argument(
         "--engine",
-        default=None,
+        default="int8",
         help="inference engine, resolved through the repro.runtime engine registry",
     )
-    parser.add_argument("--backend", default="int8", help="deprecated alias of --engine")
     parser.add_argument("--resolution", type=int, default=16, help="input resolution")
     parser.add_argument("--workers", type=int, default=2, help="batching worker threads")
     parser.add_argument(
@@ -192,7 +191,7 @@ def main(argv=None) -> int:
             except ValueError as error:
                 parser.error(str(error))
     args.slo = slo
-    engine_name = args.engine if args.engine is not None else args.backend
+    engine_name = args.engine
     known = available_backends()
     if engine_name not in known:
         parser.error(f"unknown engine {engine_name!r}; available: {known}")
@@ -208,7 +207,7 @@ def main(argv=None) -> int:
     engine = build_server(
         args.model,
         resolution=args.resolution,
-        backend=engine_name,
+        engine=engine_name,
         seed=args.seed,
         workers=args.workers,
         max_batch=args.max_batch,

@@ -7,13 +7,12 @@ loop used by production model servers:
 
 * :meth:`Engine.submit` enqueues a single sample and immediately returns a
   :class:`concurrent.futures.Future`;
-* worker threads drain the shared queue, gathering up to ``max_batch``
-  requests or waiting at most ``max_wait_ms`` for stragglers (the usual
-  max-batch / max-wait policy);
-* each worker assembles the gathered samples into its preallocated input
-  buffer **padded to the next power-of-two batch size**, so the compiled
-  engine reuses a handful of cached execution plans instead of replanning per
-  request count;
+* each worker thread drives its own
+  :class:`~repro.serve.batching.MicroBatcher` over the shared queue: it
+  gathers up to ``max_batch`` requests or waits at most ``max_wait_ms`` for
+  stragglers (the usual max-batch / max-wait policy), copies them into its
+  preallocated input buffer and runs one forward over exactly that many rows
+  — the same batcher every fleet replica runs;
 * results are split back out and delivered through the per-request futures,
   and :meth:`Engine.stats` reports counters, batch-size mix and latency
   percentiles.
@@ -21,10 +20,10 @@ loop used by production model servers:
 The engine serves any of the repo's inference backends — a
 :class:`~repro.runtime.QuantizedNet` (the int8 engine; its execution plans
 are cached per thread, so workers never share scratch), a
-:class:`~repro.runtime.CompiledNet`, or a bare eager module.  Padding rows
-with zeros is sound because none of the inference ops mix information across
-the batch dimension; for the integer engine the per-sample results are
-bit-identical regardless of batch assembly, which the test-suite asserts.
+:class:`~repro.runtime.CompiledNet`, or a bare eager module.  None of the
+inference ops mix information across the batch dimension; for the integer
+engine the per-sample results are bit-identical regardless of batch
+assembly, which the test-suite asserts.
 """
 
 from __future__ import annotations
@@ -32,11 +31,13 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..eval.profiler import LatencyWindow, latency_percentiles
+from .batching import STOP, MicroBatcher
 
 __all__ = ["Engine", "EngineConfig", "ServeStats"]
 
@@ -54,15 +55,11 @@ class EngineConfig:
         before running it.  ``0`` serves whatever is immediately available.
     workers:
         Number of batching worker threads sharing the request queue.
-    pad_to_pow2:
-        Pad assembled batches up to the next power of two (bounding the number
-        of distinct execution plans); disable to run exact request counts.
     """
 
     max_batch: int = 16
     max_wait_ms: float = 2.0
     workers: int = 1
-    pad_to_pow2: bool = True
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -110,10 +107,6 @@ class _Request:
         self.enqueued_at = time.perf_counter()
 
 
-_SHUTDOWN = object()
-_LATENCY_WINDOW = 8192  # most recent request latencies kept for percentiles
-
-
 class Engine:
     """Multi-worker dynamic-batching server around a compiled model.
 
@@ -156,7 +149,7 @@ class Engine:
         self._failed = 0
         self._batches = 0
         self._batch_sizes: dict[int, int] = {}
-        self._latencies: deque = deque(maxlen=_LATENCY_WINDOW)
+        self._latencies = LatencyWindow(8192)  # most recent request latencies
         self._closed = False
         self._workers = [
             threading.Thread(target=self._worker_loop, name=f"serve-worker-{i}", daemon=True)
@@ -196,7 +189,7 @@ class Engine:
     def stats(self) -> ServeStats:
         """A consistent snapshot of the cumulative serving statistics."""
         with self._lock:
-            latencies = np.asarray(self._latencies, dtype=np.float64)
+            latencies = self._latencies.values()
             stats = ServeStats(
                 submitted=self._submitted,
                 completed=self._completed,
@@ -204,14 +197,12 @@ class Engine:
                 batches=self._batches,
                 batch_size_counts=dict(sorted(self._batch_sizes.items())),
             )
-        if latencies.size:
-            from ..eval.profiler import latency_percentiles
-
+        if latencies:
             pct = latency_percentiles(latencies)
             stats.latency_ms_p50 = pct["p50_ms"]
             stats.latency_ms_p95 = pct["p95_ms"]
             stats.latency_ms_p99 = pct["p99_ms"]
-            stats.latency_ms_mean = float(latencies.mean())
+            stats.latency_ms_mean = float(np.mean(latencies))
         return stats
 
     def close(self, timeout: float = 10.0) -> None:
@@ -221,7 +212,7 @@ class Engine:
                 return
             self._closed = True
             for _ in self._workers:
-                self._queue.put(_SHUTDOWN)
+                self._queue.put(STOP)
         for worker in self._workers:
             worker.join(timeout=timeout)
 
@@ -234,45 +225,21 @@ class Engine:
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
-    def _gather(self) -> list[_Request] | None:
-        """Block for one request, then batch up stragglers within the window."""
-        first = self._queue.get()
-        if first is _SHUTDOWN:
+    def _poll(self, timeout: float | None):
+        try:
+            return self._queue.get(timeout=timeout)
+        except queue.Empty:
             return None
-        batch = [first]
-        deadline = time.perf_counter() + self.config.max_wait_ms / 1e3
-        while len(batch) < self.config.max_batch:
-            remaining = deadline - time.perf_counter()
-            try:
-                item = self._queue.get(timeout=max(remaining, 0.0)) if remaining > 0 else self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                self._queue.put(_SHUTDOWN)  # keep the signal for this worker's next round
-                break
-            batch.append(item)
-        return batch
-
-    def _padded_size(self, count: int) -> int:
-        if not self.config.pad_to_pow2:
-            return count
-        size = 1
-        while size < count:
-            size *= 2
-        return min(size, self.config.max_batch)
 
     def _worker_loop(self) -> None:
-        buffer = np.zeros((self.config.max_batch,) + self.input_shape, dtype=np.float32)
+        batcher = MicroBatcher(
+            self._forward, self.input_shape, self.config.max_batch, self.config.max_wait_ms
+        )
         while True:
-            batch = self._gather()
+            batch = batcher.gather(self._poll)
             if batch is None:
                 return
             count = len(batch)
-            padded = max(self._padded_size(count), count)
-            for i, request in enumerate(batch):
-                buffer[i] = request.sample
-            if padded > count:
-                buffer[count:padded] = 0.0
             # The whole per-batch handling is exception-safe: whatever the
             # backend does — raise mid-forward, return a malformed output that
             # breaks result splitting — every future in the batch resolves
@@ -280,7 +247,7 @@ class Engine:
             # batch.  A dead worker thread would strand queued requests forever.
             delivered = 0
             try:
-                outputs = self._forward(buffer[:padded])
+                outputs = batcher.run([request.sample for request in batch])
                 done = time.perf_counter()
                 latencies = [(done - request.enqueued_at) * 1e3 for request in batch]
                 for i, request in enumerate(batch):
@@ -299,4 +266,5 @@ class Engine:
                 self._completed += count
                 self._batches += 1
                 self._batch_sizes[count] = self._batch_sizes.get(count, 0) + 1
-                self._latencies.extend(latencies)
+                for latency in latencies:
+                    self._latencies.add(latency)

@@ -43,16 +43,21 @@ benchmark gate.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import math
 import os
+import struct
 import threading
 import time
 import zlib
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, shared_memory
 
 import numpy as np
 
+from ..eval.profiler import LatencyWindow
 from . import transport
 from .chaos import ChaosConfig, parse_chaos
 from .supervisor import ReplicaSpec, Supervisor, resolve_builder
@@ -311,6 +316,8 @@ class FleetConfig:
             raise ValueError("max_replicas must be >= replicas")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
+        if self.max_wait_ms < 0:
+            raise ValueError("max_wait_ms must be non-negative")
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         if self.max_attempts < 1:
@@ -422,39 +429,7 @@ class FleetStats:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "replicas": self.replicas,
-            "target": self.target,
-            "max_replicas": self.max_replicas,
-            "ready": self.ready,
-            "draining": self.draining,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "errors": dict(self.errors),
-            "requeued": self.requeued,
-            "corrupt_detected": self.corrupt_detected,
-            "deadline_expired": self.deadline_expired,
-            "restarts": self.restarts,
-            "hangs_detected": self.hangs_detected,
-            "crashes_detected": self.crashes_detected,
-            "inflight": self.inflight,
-            "queue_depth": self.queue_depth,
-            "latency_ms_p50": self.latency_ms_p50,
-            "latency_ms_p95": self.latency_ms_p95,
-            "latency_ms_p99": self.latency_ms_p99,
-            "degradation_level": self.degradation_level,
-            "effective_deadline_ms": self.effective_deadline_ms,
-            "effective_max_pending": self.effective_max_pending,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "scale_events": list(self.scale_events),
-            "cold_start_ms_mean": self.cold_start_ms_mean,
-            "cold_start_ms_max": self.cold_start_ms_max,
-            "fidelity": dict(self.fidelity) if self.fidelity is not None else None,
-            "lost": self.lost,
-            "per_replica": list(self.per_replica),
-        }
+        return {**dataclasses.asdict(self), "lost": self.lost}
 
 
 class _Entry:
@@ -528,10 +503,10 @@ class Fleet:
         self._final_stats: FleetStats | None = None
         # elasticity and degradation state (event-loop thread only)
         self._t0 = time.monotonic()
-        # (monotonic, ms) pairs pruned to stats_window_s, so the latency
-        # percentiles — the autoscaler's main signal — decay when idle
-        # instead of pinning at the last burst's tail forever
-        self._latencies: deque = deque(maxlen=4096)
+        # bounded to stats_window_s, so the latency percentiles — the
+        # autoscaler's main signal — decay when idle instead of pinning at
+        # the last burst's tail forever
+        self._latencies = LatencyWindow(4096, horizon_s=config.stats_window_s)
         self._scale_events: list[dict] = []
         self._scale_ups = 0
         self._scale_downs = 0
@@ -544,7 +519,7 @@ class Fleet:
         self._fidelity_rung = 0
         self._fidelity_switches = 0
         self._rung_completed: dict[int, int] = {}
-        self._rung_latencies: dict[int, deque] = {}
+        self._rung_latencies: dict[int, LatencyWindow] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -620,19 +595,8 @@ class Fleet:
         """A consistent snapshot of the fleet counters (any thread)."""
         if self._final_stats is not None or self._loop is None:
             return self._final_stats or FleetStats(replicas=self.config.replicas)
-        from concurrent.futures import Future
-
-        fut: Future = Future()
-
-        def grab():
-            try:
-                fut.set_result(self._stats_snapshot())
-            except Exception as error:  # pragma: no cover - defensive
-                fut.set_exception(error)
-
-        self._post(grab)
         try:
-            return fut.result(timeout=5.0)
+            return self._call_on_loop(self._stats_snapshot, timeout=5.0)
         except Exception:
             return self._final_stats or FleetStats(replicas=self.config.replicas)
 
@@ -693,6 +657,19 @@ class Fleet:
         except RuntimeError:
             pass  # loop shut down between the check and the call
 
+    def _call_on_loop(self, fn, *args, timeout: float):
+        """Run ``fn(*args)`` on the event-loop thread and wait for its result."""
+        fut: Future = Future()
+
+        def run():
+            try:
+                fut.set_result(fn(*args))
+            except Exception as error:  # pragma: no cover - defensive
+                fut.set_exception(error)
+
+        self._post(run)
+        return fut.result(timeout=timeout)
+
     async def _serve_main(self) -> None:
         cfg = self.config
         self._loop = asyncio.get_running_loop()
@@ -752,7 +729,12 @@ class Fleet:
                 if not 9 <= length <= transport.MAX_FRAME_BYTES:
                     break
                 body = await reader.readexactly(length)
-                kind, request_id, meta, payload = split_frame(body)
+                try:
+                    kind, request_id, meta, payload = split_frame(body)
+                except ValueError as error:  # undecodable meta: typed reply, keep the connection
+                    _, request_id = struct.unpack_from("<BI", body)
+                    self._reply_error(writer, request_id, "bad_request", f"bad frame meta: {error}")
+                    continue
                 if kind == KIND_REQUEST:
                     if self._front_monkey is not None and self._front_monkey.drop_connection():
                         writer.transport.abort()  # chaos: sever the connection mid-request
@@ -816,6 +798,11 @@ class Fleet:
                 f"expected {self.io.input_elements * 4} payload bytes, got {len(payload)}",
             )
             return
+        deadline_ms = meta.get("deadline_ms", self.config.default_deadline_ms)
+        if not isinstance(deadline_ms, (int, float)) or not 0 < deadline_ms < math.inf:
+            message = f"deadline_ms must be a finite number > 0, got {deadline_ms!r}"
+            self._reply_error(writer, request_id, "bad_request", message)
+            return
         if not self._supervisor.alive():
             self._reply_error(writer, request_id, "replica_failed", "all replicas failed permanently")
             return
@@ -834,11 +821,8 @@ class Fleet:
         self._slots[slot, : self.io.input_elements] = np.frombuffer(payload, dtype=np.float32)
         self._next_gid += 1
         entry = _Entry(self._next_gid, writer, request_id, slot)
-        deadline_ms = min(
-            float(meta.get("deadline_ms") or self.config.default_deadline_ms),
-            self._eff_deadline_ms,
-        )
-        entry.timer = self._loop.call_later(deadline_ms / 1e3, self._expire, entry)
+        deadline_s = min(deadline_ms, self._eff_deadline_ms) / 1e3
+        entry.timer = self._loop.call_later(deadline_s, self._expire, entry)
         entry.admitted = time.monotonic()
         self._inflight[entry.gid] = entry
         self._submitted += 1
@@ -880,18 +864,7 @@ class Fleet:
         """
         if self._loop is None or self._closed:
             raise RuntimeError("fleet is not running")
-        from concurrent.futures import Future
-
-        fut: Future = Future()
-
-        def apply():
-            try:
-                fut.set_result(self._apply_resize(int(replicas), reason))
-            except Exception as error:  # pragma: no cover - defensive
-                fut.set_exception(error)
-
-        self._post(apply)
-        return fut.result(timeout=timeout)
+        return self._call_on_loop(self._apply_resize, int(replicas), reason, timeout=timeout)
 
     def _apply_resize(self, replicas: int, reason: str) -> int:
         sup = self._supervisor
@@ -1001,12 +974,7 @@ class Fleet:
 
     def _retry_after_hint(self) -> float:
         """Server-side estimate of when a retry is worth it, in milliseconds."""
-        self._prune_latencies()
-        if self._latencies:
-            ordered = sorted(value for _, value in self._latencies)
-            base = ordered[len(ordered) // 2]
-        else:
-            base = self._eff_max_wait_ms * 2 + 5.0
+        base = self._latencies.percentiles().get("p50_ms", self._eff_max_wait_ms * 2 + 5.0)
         sup = self._supervisor
         ready = max(1, len(sup.ready_handles())) if sup is not None else 1
         backlog = len(self._undispatched) / (ready * self.config.max_batch)
@@ -1023,53 +991,37 @@ class Fleet:
                 self._broadcast_cfg(handle)  # replica (re)started mid-degradation/ladder
             self._flush_undispatched()
             return
-        if kind == "done":
-            _, gid, crc = msg
-            entry = handle.assigned.pop(gid, None)
-            if entry is None:
-                return
-            entry.dispatched = None
-            if entry.done:  # deadline already answered the client; reclaim the slot
-                self._release(entry)
-                return
-            data = self._slots[entry.slot, self.io.input_elements : self.io.slot_elements]
-            if zlib.crc32(data.tobytes()) != crc:
-                self._corrupt_detected += 1
-                self._retry(entry, transport.CorruptReply("reply failed checksum validation"))
-                return
-            handle.served += 1
-            now = time.monotonic()
-            latency_ms = (now - entry.admitted) * 1e3
-            self._latencies.append((now, latency_ms))
-            handle.latencies.append(latency_ms)
-            if self.fidelity_rungs > 1:
-                # Attribute to the fleet-wide active rung; switches are rare
-                # enough that boundary requests don't distort the buckets.
-                rung = self._fidelity_rung
-                self._rung_completed[rung] = self._rung_completed.get(rung, 0) + 1
-                self._rung_latencies.setdefault(rung, deque(maxlen=512)).append(latency_ms)
-            self._send_frame(
-                entry.writer,
-                pack_frame(
-                    KIND_RESPONSE,
-                    entry.request_id,
-                    {"shape": list(self.io.output_shape)},
-                    data.tobytes(),
-                ),
-            )
-            self._completed += 1
-            self._finish(entry)
+        # "done" (gid, crc) or "err" (gid, message)
+        entry = handle.assigned.pop(msg[1], None)
+        if entry is None:
+            return
+        entry.dispatched = None
+        if entry.done:  # deadline already answered the client; reclaim the slot
             self._release(entry)
-        elif kind == "err":
-            _, gid, message = msg
-            entry = handle.assigned.pop(gid, None)
-            if entry is None:
-                return
-            entry.dispatched = None
-            if entry.done:
-                self._release(entry)
-                return
-            self._retry(entry, transport.ReplicaFailed(message))
+            return
+        if kind == "err":
+            self._retry(entry, transport.ReplicaFailed(msg[2]))
+            return
+        reply = self._slots[entry.slot, self.io.input_elements : self.io.slot_elements].tobytes()
+        if zlib.crc32(reply) != msg[2]:
+            self._corrupt_detected += 1
+            self._retry(entry, transport.CorruptReply("reply failed checksum validation"))
+            return
+        handle.served += 1
+        latency_ms = (time.monotonic() - entry.admitted) * 1e3
+        self._latencies.add(latency_ms)
+        handle.latencies.add(latency_ms)
+        if self.fidelity_rungs > 1:
+            # Attribute to the fleet-wide active rung; switches are rare
+            # enough that boundary requests don't distort the buckets.
+            rung = self._fidelity_rung
+            self._rung_completed[rung] = self._rung_completed.get(rung, 0) + 1
+            self._rung_latencies.setdefault(rung, LatencyWindow(512)).add(latency_ms)
+        meta = {"shape": list(self.io.output_shape)}
+        self._send_frame(entry.writer, pack_frame(KIND_RESPONSE, entry.request_id, meta, reply))
+        self._completed += 1
+        self._finish(entry)
+        self._release(entry)
 
     def _on_replica_down(self, handle, reason: str, assigned: dict) -> None:
         for entry in assigned.values():
@@ -1126,19 +1078,6 @@ class Fleet:
     # ------------------------------------------------------------------ #
     # stats
     # ------------------------------------------------------------------ #
-    def _prune_latencies(self) -> None:
-        cutoff = time.monotonic() - self.config.stats_window_s
-        while self._latencies and self._latencies[0][0] < cutoff:
-            self._latencies.popleft()
-
-    @staticmethod
-    def _percentiles(samples) -> tuple[float | None, float | None, float | None]:
-        if not samples:
-            return None, None, None
-        arr = np.asarray(samples, dtype=np.float64)
-        p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
-        return float(p50), float(p95), float(p99)
-
     def _stats_snapshot(self) -> FleetStats:
         sup = self._supervisor
         per_replica = []
@@ -1148,7 +1087,6 @@ class Fleet:
         cold_starts: list = []
         if sup is not None:
             for handle in sup.active_handles():
-                _, _, handle_p99 = self._percentiles(handle.latencies)
                 per_replica.append(
                     {
                         "index": handle.index,
@@ -1157,7 +1095,7 @@ class Fleet:
                         "restarts": handle.restarts,
                         "pid": handle.pid,
                         "inflight": len(handle.assigned),
-                        "latency_ms_p99": handle_p99,
+                        "latency_ms_p99": handle.latencies.percentiles().get("p99_ms"),
                         "cold_start_ms": handle.cold_start_ms,
                     }
                 )
@@ -1173,12 +1111,12 @@ class Fleet:
             agreement = getattr(self._backend, "agreement", None) or [1.0] * len(names)
             rungs = []
             for i, name in enumerate(names):
-                _, _, rung_p99 = self._percentiles(self._rung_latencies.get(i, ()))
+                window = self._rung_latencies.get(i)
                 rungs.append(
                     {
                         "name": name,
                         "completed": self._rung_completed.get(i, 0),
-                        "latency_ms_p99": rung_p99,
+                        "latency_ms_p99": window.percentiles().get("p99_ms") if window else None,
                         "agreement": float(agreement[i]) if i < len(agreement) else 1.0,
                     }
                 )
@@ -1187,8 +1125,7 @@ class Fleet:
                 "switches": self._fidelity_switches,
                 "rungs": rungs,
             }
-        self._prune_latencies()
-        p50, p95, p99 = self._percentiles([value for _, value in self._latencies])
+        pct = self._latencies.percentiles()
         return FleetStats(
             replicas=self.config.replicas,
             target=target,
@@ -1209,9 +1146,9 @@ class Fleet:
             queue_depth=sum(
                 1 for e in self._undispatched if not e.done and e.dispatched is None
             ),
-            latency_ms_p50=p50,
-            latency_ms_p95=p95,
-            latency_ms_p99=p99,
+            latency_ms_p50=pct.get("p50_ms"),
+            latency_ms_p95=pct.get("p95_ms"),
+            latency_ms_p99=pct.get("p99_ms"),
             degradation_level=self._degradation,
             effective_deadline_ms=self._eff_deadline_ms,
             effective_max_pending=self._eff_max_pending,

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..eval.profiler import latency_percentiles
+
 __all__ = ["LoadReport", "run_load", "arrival_offsets", "TRAFFIC_SHAPES"]
 
 TRAFFIC_SHAPES = ("constant", "ramp", "spike", "step")
@@ -304,26 +306,18 @@ def _run_open_loop(engine, pool, rate, duration_s, traffic, timeout, **shape_kwa
 
 
 def _report(latencies, tail, elapsed, errors, timeouts, concurrency) -> LoadReport:
-    from ..eval.profiler import latency_percentiles
-
-    lat = np.asarray(latencies, dtype=np.float64)
-    pct = (
-        latency_percentiles(lat)
-        if lat.size
-        else {"p50_ms": float("nan"), "p95_ms": float("nan"), "p99_ms": float("nan")}
-    )
-    tail_p99 = None
-    if tail:
-        tail_p99 = float(np.percentile(np.asarray(tail, dtype=np.float64), 99.0))
+    nan = float("nan")
+    pct = latency_percentiles(latencies) if latencies else {}
+    tail_p99 = latency_percentiles(tail)["p99_ms"] if tail else None
     return LoadReport(
         requests=len(latencies),
         concurrency=concurrency,
         elapsed_s=elapsed,
         requests_per_sec=len(latencies) / elapsed if elapsed > 0 else 0.0,
-        latency_ms_p50=pct["p50_ms"],
-        latency_ms_p95=pct["p95_ms"],
-        latency_ms_p99=pct["p99_ms"],
-        latency_ms_mean=float(lat.mean()) if lat.size else float("nan"),
+        latency_ms_p50=pct.get("p50_ms", nan),
+        latency_ms_p95=pct.get("p95_ms", nan),
+        latency_ms_p99=pct.get("p99_ms", nan),
+        latency_ms_mean=float(np.mean(latencies)) if latencies else nan,
         errors=errors,
         timeouts=timeouts,
         latency_ms_p99_tail=tail_p99,

@@ -63,6 +63,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from ..eval.profiler import LatencyWindow
+from .batching import SKIP, STOP, MicroBatcher
 from .chaos import ChaosConfig
 
 __all__ = ["ReplicaSpec", "ReplicaHandle", "Supervisor", "resolve_builder"]
@@ -128,58 +130,43 @@ def _replica_main(spec: ReplicaSpec, work, resp) -> None:
         )
         forward = backend.forward if hasattr(backend, "forward") else backend
         monkey = spec.chaos.monkey(spec.index) if spec.chaos and spec.chaos.faults else None
+        shape = tuple(spec.input_shape)
         in_elems, out_elems = spec.input_elements, spec.output_elements
-        batch_buf = np.empty((spec.max_batch,) + tuple(spec.input_shape), dtype=np.float32)
+        batcher = MicroBatcher(forward, shape, spec.max_batch, spec.max_wait_ms)
         beat()
         resp.send(("ready", os.getpid()))
-        max_wait_s = spec.max_wait_ms / 1e3
 
-        def apply_cfg(payload: dict) -> None:
+        def poll(timeout):
+            if not work.poll(timeout):
+                return None
+            msg = work.recv()
+            if msg[0] == "run":
+                return msg
+            if msg[0] == "stop":
+                return STOP
             # Live policy update (degradation ladder / fidelity switch); no
             # restart.  Unknown keys are ignored so the pipe protocol stays
             # forward-compatible across mixed replica generations.
-            nonlocal max_wait_s
-            max_wait_s = float(payload.get("max_wait_ms", max_wait_s * 1e3)) / 1e3
+            payload = msg[1]
+            if "max_wait_ms" in payload:
+                batcher.max_wait_s = float(payload["max_wait_ms"]) / 1e3
             rung = payload.get("fidelity")
             if rung is not None and hasattr(backend, "set_rung"):
                 backend.set_rung(int(rung))
+            return SKIP
 
-        stop = False
-        while not stop:
-            # Block for the first request, heartbeating while idle: the beat
-            # comes from THIS loop, so a wedged worker stops beating.
-            msg = None
-            while msg is None:
-                beat()
-                if work.poll(spec.heartbeat_interval / 2):
-                    msg = work.recv()
-                    if msg[0] == "cfg":
-                        apply_cfg(msg[1])
-                        msg = None
-            if msg[0] == "stop":
+        while True:
+            # Idle waits heartbeat from THIS loop, so a wedged worker stops beating.
+            batch = batcher.gather(poll, spec.heartbeat_interval / 2, on_idle=beat)
+            if batch is None:
                 break
-            batch = [msg]
-            deadline = time.monotonic() + max_wait_s
-            while len(batch) < spec.max_batch:
-                remaining = deadline - time.monotonic()
-                if not work.poll(max(remaining, 0.0)):
-                    break
-                m = work.recv()
-                if m[0] == "stop":
-                    stop = True
-                    break
-                if m[0] == "cfg":
-                    apply_cfg(m[1])
-                    continue
-                batch.append(m)
             beat()
             if monkey is not None:
                 monkey.pre_batch()  # may SIGKILL, hang (starving beats), or sleep
             count = len(batch)
-            for i, (_, _, slot) in enumerate(batch):
-                batch_buf[i] = slots[slot, :in_elems].reshape(spec.input_shape)
             try:
-                out = np.asarray(forward(batch_buf[:count]), dtype=np.float32).reshape(count, -1)
+                samples = [slots[slot, :in_elems].reshape(shape) for _, _, slot in batch]
+                out = np.asarray(batcher.run(samples), dtype=np.float32).reshape(count, -1)
                 if out.shape[1] != out_elems:
                     raise RuntimeError(
                         f"backend produced {out.shape[1]} elements/sample, expected {out_elems}"
@@ -223,7 +210,7 @@ class ReplicaHandle:
     cold_start_ms: float | None = None  # spawn -> READY of the last (re)start
     restart_at: float = 0.0
     pid: int | None = None
-    latencies: deque = field(default_factory=lambda: deque(maxlen=256))  # ms, recent
+    latencies: LatencyWindow = field(default_factory=lambda: LatencyWindow(256))  # ms, recent
 
     def close_conns(self) -> None:
         for conn in (self.work, self.resp):

@@ -154,10 +154,15 @@ def pack_frame(kind: int, request_id: int, meta: dict | None = None, payload: by
 
 
 def split_frame(body: bytes) -> tuple[int, int, dict, bytes]:
-    """Decode the bytes after the length field into (kind, id, meta, payload)."""
+    """Decode the bytes after the length field into (kind, id, meta, payload).
+
+    Raises ``ValueError`` when the meta is not a UTF-8 JSON object.
+    """
     kind, request_id, meta_len = struct.unpack_from("<BII", body, 0)
     meta_end = 9 + meta_len
     meta = json.loads(body[9:meta_end].decode("utf-8")) if meta_len else {}
+    if not isinstance(meta, dict):
+        raise ValueError(f"frame meta must be a JSON object, got {type(meta).__name__}")
     return kind, request_id, meta, body[meta_end:]
 
 

@@ -108,19 +108,19 @@ def evaluate(
     By default the model is lowered through :mod:`repro.runtime` (BatchNorm
     folding + fused conv/bias/activation kernels), which is substantially
     faster than the eager tape on CPU.  Set ``compiled=False`` to force the
-    eager path; compilation failures fall back to it automatically.
+    eager path; a model the compiler rejects (:class:`~repro.runtime.CompileError`)
+    falls back to it, while any other error raised while compiling propagates.
     """
     loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
     was_training = model.training
     model.eval()
     forward = None
     if compiled:
-        try:
-            from ..runtime import compile_model
+        from ..runtime import CompileError, compile_model
 
-            net = compile_model(model, mode="infer")
-            forward = net.numpy_forward
-        except Exception:
+        try:
+            forward = compile_model(model, mode="infer").numpy_forward
+        except CompileError:
             forward = None
     correct_meter = AverageMeter("accuracy")
     with nn.no_grad():

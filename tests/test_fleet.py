@@ -8,8 +8,12 @@ and that crashed replicas come back within the restart backoff budget.
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
+import struct
+import threading
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -19,11 +23,13 @@ from repro.serve import (
     DeadlineExceeded,
     Fleet,
     FleetConfig,
+    FleetStats,
     Overloaded,
     echo_backend,
     parse_chaos,
 )
 from repro.serve.chaos import ChaosConfig, ChaosMonkey, Fault
+from repro.serve.supervisor import ReplicaSpec, _replica_main
 from repro.serve.transport import (
     KIND_ERROR,
     KIND_REQUEST,
@@ -342,6 +348,35 @@ class TestFleetServing:
             assert meta["code"] == "bad_request"
             assert_zero_lost(fleet)
 
+    def test_bad_meta_is_typed_and_leaks_no_slot(self):
+        """Bad ``deadline_ms`` values and undecodable meta get a typed
+        ``bad_request`` before a slot is taken: after ``max_pending`` such
+        frames every slot is still free and a good request is served."""
+        config = fleet_config(replicas=1, max_pending=4)
+        payload = samples(1)[0].tobytes()
+        bad_metas = [{"deadline_ms": v} for v in ("soon", -5, 0, [1])]
+        with Fleet(config) as fleet:
+            with socket.create_connection(fleet.address, timeout=10) as sock:
+                for request_id, meta in enumerate(bad_metas):
+                    sock.sendall(pack_frame(KIND_REQUEST, request_id, meta, payload))
+                    kind, rid, reply, _ = read_frame(sock)
+                    assert (kind, rid, reply["code"]) == (KIND_ERROR, request_id, "bad_request")
+                # meta that is not JSON at all: still a typed reply on a live connection
+                meta = b"{not json"
+                body = struct.pack("<BII", KIND_REQUEST, 99, len(meta)) + meta + payload
+                sock.sendall(struct.pack("<I", len(body)) + body)
+                kind, rid, reply, _ = read_frame(sock)
+                assert (kind, rid, reply["code"]) == (KIND_ERROR, 99, "bad_request")
+                sock.sendall(pack_frame(KIND_REQUEST, 100, {"deadline_ms": 5000.0}, payload))
+                kind, rid, _, out = read_frame(sock)
+            assert (kind, rid) == (KIND_RESPONSE, 100)
+            np.testing.assert_allclose(
+                np.frombuffer(out, dtype=np.float32), oracle(samples(1))[0], rtol=1e-6
+            )
+            free = fleet._call_on_loop(lambda: len(fleet._free_slots), timeout=5.0)
+            assert free == config.max_pending
+            assert_zero_lost(fleet)
+
     def test_client_submit_after_close_raises(self):
         with Fleet(fleet_config(replicas=1)) as fleet:
             client = fleet.client()
@@ -368,6 +403,132 @@ class TestFleetServing:
             assert stats["submitted"] >= 1
             assert stats["lost"] == 0
             assert len(stats["per_replica"]) == fleet.config.replicas
+            assert set(stats) == STATS_KEYS
+            assert set(stats["per_replica"][0]) == PER_REPLICA_KEYS
+
+
+STATS_KEYS = {
+    "replicas", "target", "max_replicas", "ready", "draining", "submitted", "completed",
+    "shed", "errors", "requeued", "corrupt_detected", "deadline_expired", "restarts",
+    "hangs_detected", "crashes_detected", "inflight", "queue_depth", "latency_ms_p50",
+    "latency_ms_p95", "latency_ms_p99", "degradation_level", "effective_deadline_ms",
+    "effective_max_pending", "scale_ups", "scale_downs", "scale_events",
+    "cold_start_ms_mean", "cold_start_ms_max", "fidelity", "lost", "per_replica",
+}
+PER_REPLICA_KEYS = {
+    "index", "state", "served", "restarts", "pid", "inflight", "latency_ms_p99", "cold_start_ms",
+}
+
+
+class TestFleetStatsDict:
+    def test_to_dict_keys_and_values(self):
+        replica = {"index": 0, "state": "ready", "served": 3, "restarts": 1, "pid": 7,
+                   "inflight": 1, "latency_ms_p99": 2.5, "cold_start_ms": 40.0}
+        stats = FleetStats(
+            replicas=2, target=2, max_replicas=3, ready=2, submitted=10, completed=6,
+            errors={"deadline": 2}, inflight=1, latency_ms_p50=1.0, latency_ms_p95=2.0,
+            latency_ms_p99=3.0, scale_events=[{"t": 0.5, "from": 1, "to": 2, "reason": "slo"}],
+            fidelity={"active_rung": 0, "switches": 0, "rungs": []}, per_replica=[replica],
+        )
+        d = stats.to_dict()
+        assert set(d) == STATS_KEYS
+        assert d["lost"] == 10 - 6 - 2 - 1
+        assert d["errors"] == {"deadline": 2}
+        assert d["per_replica"] == [replica]
+        assert d["scale_events"] == [{"t": 0.5, "from": 1, "to": 2, "reason": "slo"}]
+        assert d["fidelity"] == {"active_rung": 0, "switches": 0, "rungs": []}
+        assert (d["latency_ms_p50"], d["latency_ms_p95"], d["latency_ms_p99"]) == (1.0, 2.0, 3.0)
+        assert d["cold_start_ms_mean"] is None and d["draining"] == 0
+        # a snapshot, not a view: editing it leaves the stats untouched
+        d["errors"]["deadline"] = 99
+        d["per_replica"][0]["served"] = 99
+        assert stats.errors == {"deadline": 2}
+        assert replica["served"] == 3
+
+
+class RecordingBackend:
+    """In-process replica backend recording each forward's batch size and rung."""
+
+    def __init__(self):
+        self.echo = echo_backend(resolution=RES, classes=CLASSES)
+        self.rung = 0
+        self.calls = []  # (batch size, rung at forward time)
+
+    def forward(self, batch):
+        self.calls.append((len(batch), self.rung))
+        return self.echo.forward(batch)
+
+    def set_rung(self, rung):
+        self.rung = rung
+
+
+class TestReplicaLoop:
+    """``_replica_main`` driven in-process over real pipes and shared memory."""
+
+    def run_replica(self, messages, max_batch=4, max_wait_ms=500.0):
+        n_slots = 4
+        in_elems = int(np.prod(SHAPE))
+        slot_elems = in_elems + CLASSES
+        slots_shm = shared_memory.SharedMemory(create=True, size=n_slots * slot_elems * 4)
+        hb_shm = shared_memory.SharedMemory(create=True, size=8)
+        backend = RecordingBackend()
+        try:
+            slots = np.ndarray((n_slots, slot_elems), dtype=np.float32, buffer=slots_shm.buf)
+            xs = samples(n_slots)
+            slots[:, :in_elems] = xs.reshape(n_slots, -1)
+            spec = ReplicaSpec(
+                index=0, replicas=1, builder="unused", builder_kwargs={},
+                input_shape=SHAPE, input_elements=in_elems, output_elements=CLASSES,
+                slot_elements=slot_elems, n_slots=n_slots, slots_name=slots_shm.name,
+                hb_name=hb_shm.name, max_batch=max_batch, max_wait_ms=max_wait_ms,
+                heartbeat_interval=0.05, prebuilt=backend,
+            )
+            work_recv, work_send = multiprocessing.Pipe(duplex=False)
+            resp_recv, resp_send = multiprocessing.Pipe(duplex=False)
+            for msg in messages:
+                work_send.send(msg)
+            start = time.monotonic()
+            replica = threading.Thread(target=_replica_main, args=(spec, work_recv, resp_send))
+            replica.start()
+            replica.join(timeout=10.0)  # returns on "stop"
+            elapsed = time.monotonic() - start
+            assert not replica.is_alive(), "replica loop did not stop"
+            replies = []
+            while resp_recv.poll(0):
+                replies.append(resp_recv.recv())
+            outputs = slots[:, in_elems:].copy()
+            del slots
+            return backend, replies, outputs, oracle(xs), elapsed
+        finally:
+            slots_shm.close()
+            slots_shm.unlink()
+            hb_shm.close()
+            hb_shm.unlink()
+
+    def test_cfg_mid_window_is_applied_and_stop_ends_after_the_batch(self):
+        messages = [
+            ("run", 1, 0),
+            ("cfg", {"fidelity": 1, "max_wait_ms": 0.0}),
+            ("run", 2, 1),
+            ("stop",),
+            ("run", 3, 2),  # after stop: never served
+        ]
+        backend, replies, outputs, expected, elapsed = self.run_replica(messages)
+        # one batch of both requests: the cfg neither joined nor split it, its
+        # rung switch was applied before the forward, and "stop" closed the
+        # window at once instead of waiting out the 500 ms
+        assert backend.calls == [(2, 1)]
+        assert elapsed < 0.4
+        assert [r[0] for r in replies] == ["ready", "done", "done"]
+        assert [r[1] for r in replies[1:]] == [1, 2]
+        np.testing.assert_allclose(outputs[:2], expected[:2], rtol=1e-6)
+
+    def test_batches_cut_at_max_batch(self):
+        messages = [("run", gid, gid) for gid in range(4)] + [("stop",)]
+        backend, replies, outputs, expected, _ = self.run_replica(messages, max_batch=3)
+        assert [size for size, _ in backend.calls] == [3, 1]
+        assert sorted(r[1] for r in replies[1:]) == [0, 1, 2, 3]
+        np.testing.assert_allclose(outputs, expected, rtol=1e-6)
 
 
 class TestFleetConfigValidation:
@@ -378,6 +539,8 @@ class TestFleetConfigValidation:
             FleetConfig(max_pending=0)
         with pytest.raises(ValueError):
             FleetConfig(start_method="threads")
+        with pytest.raises(ValueError, match="max_wait_ms must be non-negative"):
+            FleetConfig(max_wait_ms=-1.0)
 
     def test_cli_rejects_unknown_engine(self, capsys):
         from repro.serve.__main__ import main

@@ -98,7 +98,7 @@ class TestInt8Parity:
 
     def test_bitwise_batch_invariance(self, rng):
         """Per-sample results never depend on batch assembly — the property
-        padded dynamic batching relies on."""
+        dynamic batching relies on."""
         model = _quantized_model("mobilenetv2-tiny", rng)
         engine = repro.compile(model, mode="int8")
         x = rng.normal(0.2, 0.8, size=(6, 3, 20, 20)).astype(np.float32)

@@ -11,6 +11,7 @@ from repro import nn
 from repro.compress import calibrate, quantize_model
 from repro.models import create_model
 from repro.serve import Engine, EngineConfig, build_server, run_load
+from repro.serve.batching import SKIP, STOP, MicroBatcher
 
 
 RES = 12
@@ -170,14 +171,26 @@ class TestDynamicBatching:
         assert stats.batches == 5
         assert stats.batch_size_counts == {1: 5}
 
-    def test_padded_assembly_preserves_results(self, qnet):
-        """pad_to_pow2 runs odd request counts at padded batch sizes without
-        affecting any result."""
+    def test_exact_count_assembly_preserves_results(self, qnet):
+        """Batches run at exactly the gathered request count — no padding
+        rows, so an odd count reaches the backend as an odd batch — and every
+        result stays bit-identical to a direct forward."""
         samples = _samples(5)
         expected = [qnet.numpy_forward(s[None])[0] for s in samples]
-        with Engine(qnet, SHAPE, max_batch=8, max_wait_ms=50.0) as engine:
+        rows = []
+
+        def forward(batch):
+            rows.append(len(batch))
+            return qnet.numpy_forward(batch)
+
+        with Engine(forward, SHAPE, max_batch=8, max_wait_ms=200.0) as engine:
             futures = [engine.submit(s) for s in samples]
             outs = [f.result(timeout=30.0) for f in futures]
+            stats = engine.stats()
+        assert sum(rows) == 5  # an odd total: at least one odd-sized batch
+        assert sorted(rows) == sorted(
+            size for size, n in stats.batch_size_counts.items() for _ in range(n)
+        )
         for out, exp in zip(outs, expected):
             np.testing.assert_array_equal(out, exp)
 
@@ -192,6 +205,82 @@ class TestDynamicBatching:
         assert stats.completed == 20
         assert stats.latency_ms_p50 <= stats.latency_ms_p95 <= stats.latency_ms_p99
         assert "latency" in stats.summary()
+
+
+def _list_poll(items):
+    """A ``poll`` source over a fixed list; ``None`` (window closed) once empty."""
+    items = list(items)
+    calls = []
+
+    def poll(timeout):
+        calls.append(timeout)
+        return items.pop(0) if items else None
+
+    poll.calls = calls
+    return poll
+
+
+class TestMicroBatcher:
+    def test_cuts_batches_at_max_batch(self):
+        batcher = MicroBatcher(lambda x: x, (1,), max_batch=2, max_wait_ms=1000.0)
+        poll = _list_poll("abcde")
+        assert batcher.gather(poll) == ["a", "b"]
+        assert batcher.gather(poll) == ["c", "d"]
+        # the fifth item arrives alone; the (empty) source closes its window
+        assert batcher.gather(poll) == ["e"]
+
+    def test_window_expiry_closes_the_batch(self):
+        """A lone request waits out ``max_wait_ms`` for stragglers — no more."""
+        batcher = MicroBatcher(lambda x: x, (1,), max_batch=8, max_wait_ms=30.0)
+        first = [True]
+
+        def poll(timeout):
+            if first[0]:
+                first[0] = False
+                return "only"
+            time.sleep(timeout)
+            return None
+
+        start = time.monotonic()
+        assert batcher.gather(poll) == ["only"]
+        elapsed = time.monotonic() - start
+        assert 0.025 <= elapsed < 1.0
+
+    def test_straggler_polls_share_one_deadline(self):
+        batcher = MicroBatcher(lambda x: x, (1,), max_batch=8, max_wait_ms=50.0)
+        poll = _list_poll(["a", "b", "c"])
+        assert batcher.gather(poll) == ["a", "b", "c"]
+        waits = poll.calls[1:]
+        assert all(0.0 <= w <= 0.05 for w in waits)
+        assert waits == sorted(waits, reverse=True)
+
+    def test_control_messages_never_join_the_batch(self):
+        batcher = MicroBatcher(lambda x: x, (1,), max_batch=4, max_wait_ms=1000.0)
+        assert batcher.gather(_list_poll([SKIP, "a", SKIP, "b"])) == ["a", "b"]
+
+    def test_stop_serves_the_current_batch_then_ends(self):
+        batcher = MicroBatcher(lambda x: x, (1,), max_batch=4, max_wait_ms=1000.0)
+        poll = _list_poll(["a", STOP, "late"])
+        assert batcher.gather(poll) == ["a"]
+        assert batcher.gather(poll) is None
+        assert batcher.stopped
+
+    def test_idle_hook_runs_while_waiting_for_a_first_request(self):
+        batcher = MicroBatcher(lambda x: x, (1,), max_batch=4, max_wait_ms=0.0)
+        beats = []
+        poll = _list_poll([None, None, "a"])
+        assert batcher.gather(poll, idle_timeout=0.01, on_idle=lambda: beats.append(1)) == ["a"]
+        assert len(beats) == 3
+        assert poll.calls[:3] == [0.01, 0.01, 0.01]
+
+    def test_run_forwards_exactly_the_gathered_rows(self):
+        seen = []
+        batcher = MicroBatcher(
+            lambda x: seen.append(x.copy()) or x * 2, (2,), max_batch=8, max_wait_ms=0.0
+        )
+        out = batcher.run([np.ones(2, np.float32), np.full(2, 3.0, np.float32)])
+        assert seen[0].shape == (2, 2)
+        np.testing.assert_array_equal(out, [[2.0, 2.0], [6.0, 6.0]])
 
 
 class TestLoadGenAndBuilder:
@@ -230,7 +319,7 @@ class TestLoadGenAndBuilder:
 
     def test_build_server_float_backend(self):
         engine = build_server(
-            "mobilenetv2-tiny", resolution=RES, num_classes=8, backend="float", max_batch=4
+            "mobilenetv2-tiny", resolution=RES, num_classes=8, engine="float", max_batch=4
         )
         with engine:
             out = engine.predict(np.zeros(SHAPE, dtype=np.float32), timeout=30.0)
@@ -238,7 +327,7 @@ class TestLoadGenAndBuilder:
 
     def test_build_server_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
-            build_server("mobilenetv2-tiny", backend="tpu")
+            build_server("mobilenetv2-tiny", engine="tpu")
 
     def test_float_and_int8_servers_agree_roughly(self, qnet):
         """The served int8 predictions track the eager fake-quant model."""

@@ -123,6 +123,27 @@ class TestTrainer:
         trainer.fit(dataset)
         assert trainer.evaluate(dataset) == pytest.approx(evaluate(model, dataset))
 
+    def test_evaluate_falls_back_to_eager_only_on_compile_error(self, monkeypatch):
+        import repro.runtime
+        from repro.runtime import CompileError
+
+        dataset = _toy_dataset(n=16)
+        model = SmallNet()
+        expected = evaluate(model, dataset, compiled=False)
+
+        def unsupported(*args, **kwargs):
+            raise CompileError("unsupported op")
+
+        monkeypatch.setattr(repro.runtime, "compile_model", unsupported)
+        assert evaluate(model, dataset) == pytest.approx(expected)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("compiler bug")
+
+        monkeypatch.setattr(repro.runtime, "compile_model", broken)
+        with pytest.raises(RuntimeError, match="compiler bug"):
+            evaluate(model, dataset)
+
     def test_invalid_schedule_name_raises(self):
         with pytest.raises(ValueError):
             Trainer(SmallNet(), ExperimentConfig(epochs=1, lr_schedule="exotic"))
