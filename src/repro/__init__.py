@@ -21,6 +21,8 @@ and :mod:`repro.runtime.artifact` for the artifact format and its fingerprint
 contract.
 """
 
+from . import _blas  # noqa: F401  (sets numpy's OpenBLAS to one thread; see repro._blas)
+
 __version__ = "0.1.0"
 
 __all__ = ["compile", "load", "CompileOptions", "CompileError", "ArtifactError", "__version__"]
@@ -38,8 +40,9 @@ _ARTIFACT_EXPORTS = {
 
 
 def __getattr__(name: str):
-    # Lazy so that `import repro` stays light: the runtime (and NumPy-heavy
-    # substrate) only loads when the compilation frontend is first touched.
+    # Lazy so that `import repro` stays light: the runtime (and the
+    # substrate under it) only loads when the compilation frontend is first
+    # touched.
     if name in _FRONTEND_EXPORTS:
         from .runtime import frontend
 

@@ -142,7 +142,9 @@ def measure_latency(
 
     ``compiled=True`` (the default) times the fused :mod:`repro.runtime`
     program — the deployment-relevant number; pass ``compiled=False`` to time
-    the eager autograd-tape forward instead.  Compile time is excluded.
+    the eager autograd-tape forward instead.  A model the compiler rejects
+    (:class:`~repro.runtime.CompileError`) is timed on the eager forward; any
+    other error raised while compiling propagates.  Compile time is excluded.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -153,13 +155,13 @@ def measure_latency(
     forward = None
     used_compiled = False
     if compiled:
-        try:
-            from ..runtime import compile_model
+        from ..runtime import CompileError, compile_model
 
+        try:
             net = compile_model(model, mode="infer")
             forward = lambda: net.numpy_forward(probe_data)  # noqa: E731
             used_compiled = True
-        except Exception:
+        except CompileError:
             forward = None
     if forward is None:
         probe = nn.Tensor(probe_data)
@@ -180,7 +182,7 @@ def measure_latency(
         "median_ms": pct["p50_ms"],
         "best_ms": float(np.min(timings)),
         # 1.0 when the fused runtime was timed, 0.0 for the eager forward
-        # (either requested or after a compilation failure fallback).
+        # (either requested or after a CompileError).
         "compiled": 1.0 if used_compiled else 0.0,
         **pct,
     }

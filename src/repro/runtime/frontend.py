@@ -260,8 +260,10 @@ register_engine("int8", "int8", "planned true-integer engine (QuantizedNet)")
 
 
 def describe_graph(graph: Graph | None, executor) -> str:
-    """Shared ``describe()`` body: graph report plus the executor banner."""
+    """Shared ``describe()`` body: executor banner, BLAS status, graph report."""
+    from .._blas import status
+
     banner = f"{type(executor).__name__} — compiled by repro.compile"
     if graph is None:
-        return banner + " (no graph attached; compiled from a pre-built program)"
-    return banner + "\n" + graph.describe()
+        return f"{banner} (no graph attached; compiled from a pre-built program)\nblas    : {status()}"
+    return f"{banner}\nblas    : {status()}\n{graph.describe()}"

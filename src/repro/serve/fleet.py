@@ -483,6 +483,10 @@ class Fleet:
         self._thread = None
         self._supervisor = None
         self._started = threading.Event()
+        # replicas in READY as of the last ready, down or resize event;
+        # written on the event-loop thread, read by wait_ready()
+        self._ready_changed = threading.Condition()
+        self._ready_replicas = 0
         self._start_error = None
         self._shutdown = None
         self._closed = False
@@ -578,12 +582,9 @@ class Fleet:
 
     def wait_ready(self, timeout: float = 60.0, replicas: int = 1) -> None:
         """Block until at least ``replicas`` replicas report ready."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.stats().ready >= replicas:
-                return
-            time.sleep(0.01)
-        raise TimeoutError(f"no {replicas} ready replicas within {timeout:.1f}s")
+        with self._ready_changed:
+            if not self._ready_changed.wait_for(lambda: self._ready_replicas >= replicas, timeout):
+                raise TimeoutError(f"no {replicas} ready replicas within {timeout:.1f}s")
 
     def client(self, **kwargs) -> FleetClient:
         """A connected :class:`~repro.serve.transport.FleetClient`."""
@@ -870,6 +871,7 @@ class Fleet:
         sup = self._supervisor
         old = sup.target
         new = sup.set_target(replicas)
+        self._count_ready()  # a cancelled drain is READY again without a ready message
         if new != old:
             self._scale_events.append(
                 {
@@ -987,6 +989,7 @@ class Fleet:
     def _on_replica_msg(self, handle, msg) -> None:
         kind = msg[0]
         if kind == "ready":
+            self._count_ready()
             if self._degradation or self._fidelity_rung:
                 self._broadcast_cfg(handle)  # replica (re)started mid-degradation/ladder
             self._flush_undispatched()
@@ -1023,7 +1026,14 @@ class Fleet:
         self._finish(entry)
         self._release(entry)
 
+    def _count_ready(self) -> None:
+        """Publish the READY replica count to :meth:`wait_ready`."""
+        with self._ready_changed:
+            self._ready_replicas = len(self._supervisor.ready_handles())
+            self._ready_changed.notify_all()
+
     def _on_replica_down(self, handle, reason: str, assigned: dict) -> None:
+        self._count_ready()
         for entry in assigned.values():
             entry.dispatched = None
             if entry.done:

@@ -14,7 +14,6 @@ pluggable:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -267,16 +266,9 @@ class Trainer:
             )
         except CompileError:
             # Expected for unlowerable losses/models (KD, detection heads...):
-            # the eager tape is the documented, bit-identical fallback.
+            # the eager tape is the documented, bit-identical fallback.  Any
+            # other error is a compiler bug and propagates.
             self._compiled_step = None
-        except Exception:
-            self._compiled_step = None
-            warnings.warn(
-                "repro.compile(mode='train') raised; training continues on the "
-                "eager path (results are identical, throughput is lower)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         if self._compiled_step is None:
             self._failed_signature = structure_signature(self.model)
         return self._compiled_step

@@ -179,6 +179,24 @@ class TestFleetServing:
             assert_zero_lost(fleet)
         assert fleet.stats().lost == 0  # final post-drain snapshot
 
+    def test_wait_ready_counts_replicas_and_times_out(self):
+        fleet = Fleet(fleet_config(replicas=1, max_replicas=2)).start(wait_ready=False)
+        try:
+            fleet.wait_ready(replicas=1, timeout=30)
+            assert fleet.stats().ready == 1
+            start = time.monotonic()
+            with pytest.raises(TimeoutError, match="no 2 ready replicas"):
+                fleet.wait_ready(replicas=2, timeout=0.2)
+            assert time.monotonic() - start >= 0.2
+            # a scale-up's ready message wakes the waiter itself
+            fleet.resize(2)
+            fleet.wait_ready(replicas=2, timeout=30)
+            woke = time.monotonic()
+            assert fleet.stats().ready == 2
+            assert woke - fleet._supervisor.handles[1].ready_since < 0.5
+        finally:
+            fleet.close()
+
     def test_io_plan_sizes_slots(self):
         with Fleet(fleet_config()) as fleet:
             io = fleet.io

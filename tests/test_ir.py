@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import nn
+from repro import _blas, nn
 from repro.compress import calibrate, quantize_model
 from repro.models import create_model
 from repro.models.blocks import ConvBNAct, InvertedResidual
@@ -168,6 +168,11 @@ class TestFrontend:
         assert "features.0.conv" in report
         qreport = repro.compile(_quantized_model("mobilenetv2-tiny", rng), mode="int8").describe()
         assert "lower_int8" in qreport and "grid=" in qreport
+        model.train()
+        treport = repro.compile(model, mode="train").describe()
+        # every engine reports the BLAS thread policy it runs under
+        for text in (report, qreport, treport):
+            assert f"blas    : {_blas.status()}" in text.splitlines()
 
     def test_engine_registry_resolves_serving_backends(self):
         assert {"float", "int8"} <= set(available_engines())

@@ -144,6 +144,29 @@ class TestTrainer:
         with pytest.raises(RuntimeError, match="compiler bug"):
             evaluate(model, dataset)
 
+    def test_train_step_falls_back_to_eager_only_on_compile_error(self, monkeypatch):
+        import repro.runtime
+        from repro.runtime import CompileError
+
+        dataset = _toy_dataset(n=8)
+        batch = dataset.images[:8], dataset.labels[:8]
+
+        def unsupported(*args, **kwargs):
+            raise CompileError("unsupported op")
+
+        monkeypatch.setattr(repro.runtime, "compile_model", unsupported)
+        trainer = Trainer(SmallNet(), ExperimentConfig(epochs=1, batch_size=8, lr=0.01))
+        trainer.train_step(*batch)  # the eager tape trains on
+        assert trainer._compiled_step is None
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("compiler bug")
+
+        monkeypatch.setattr(repro.runtime, "compile_model", broken)
+        trainer = Trainer(SmallNet(), ExperimentConfig(epochs=1, batch_size=8, lr=0.01))
+        with pytest.raises(RuntimeError, match="compiler bug"):
+            trainer.train_step(*batch)
+
     def test_invalid_schedule_name_raises(self):
         with pytest.raises(ValueError):
             Trainer(SmallNet(), ExperimentConfig(epochs=1, lr_schedule="exotic"))
